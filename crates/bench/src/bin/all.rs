@@ -1,13 +1,13 @@
 //! Regenerate every paper table and figure in sequence via the shared
-//! registry CLI (run `fingerprint` and `ablations` for the case-study
-//! and ablation bundles; any experiment name can also be given
-//! explicitly — `--list` enumerates them).
+//! registry CLI. Any experiment can also be named explicitly — `all fig5`,
+//! `all fingerprint`, `all ablation_tau_w` — and `--list` enumerates them
+//! (the `ablations` binary runs every ablation by default).
 //!
-//! Unsharded runs end with a wall-time summary per figure/table so
+//! Multi-experiment runs end with a wall-time summary per figure/table so
 //! interpreter or scheduler regressions show up in the repro log itself.
-//! `--shards N` spawns one process per shard, shares the persistent
-//! calibration cache between them, and merges the per-shard CSVs into
-//! output bit-identical to the unsharded run.
+//! `--shard K/N` runs one slice of the unit space per host or process,
+//! and `--merge` reassembles the slices into output bit-identical to the
+//! unsharded run.
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -1,40 +1,30 @@
-//! The one shared CLI behind every harness binary.
+//! The one shared CLI behind the harness binaries.
 //!
-//! All fourteen binaries (`all`, `fig1..fig6`, `table1..table5`,
-//! `fingerprint`, `ablations`) are thin shims over [`run`]: they differ
-//! only in their default selection. Experiments are looked up by name in
-//! the [`crate::registry`], so `all fig5 table2` runs exactly those two
-//! and `--list` enumerates everything.
+//! `all` and `ablations` are thin shims over [`run`]: they differ only in
+//! their default selection (the paper artifacts or every ablation).
+//! Experiments are looked up by name in the [`crate::registry`], so
+//! `all fig5 table2` runs exactly those two and `--list` enumerates
+//! everything.
 //!
 //! ```text
-//! all [EXPERIMENT..] [--full] [--threads N] [--shard K/N] [--shards N]
-//!     [--out DIR] [--tau-jitter N] [--merge DIR.. ] [--list]
-//! all coordinate [EXPERIMENT..] [--workers N] [--addr HOST:PORT]
-//!     [--lease-ms N] [--grace-ms N] [--timeout-ms N] [common flags]
-//! all work --connect HOST:PORT [--threads N]
+//! all [EXPERIMENT..] [--full] [--threads N] [--shard K/N] [--out DIR]
+//!     [--tau-jitter N] [--merge DIR..] [--list]
 //! ```
 //!
+//! * `--threads N` — trial-runner worker threads on this host (else
+//!   `SMACK_BENCH_THREADS`, else the available parallelism).
 //! * `--shard K/N` — run only the units this shard owns, writing
-//!   unit-tagged partial CSVs (merge them with `--merge`).
-//! * `--shards N` — distribute: run the fault-tolerant experiment
-//!   service ([`crate::service`]) with N spawned worker processes, then
-//!   merge the unit-tagged partial CSVs into the output directory —
-//!   bit-identical to the unsharded run even under worker crashes.
-//! * `coordinate` — run the service coordinator explicitly: `--workers
-//!   N` spawns a fleet (0 = wait for external workers, degrading to
-//!   in-process execution after `--grace-ms`), `--addr` picks the listen
-//!   address, `--lease-ms` the heartbeat deadline and `--timeout-ms` the
-//!   whole-run wall-clock bound.
-//! * `work` — run a worker: connect to a coordinator, execute leased
-//!   units, stream partial CSVs back. Mode and τ jitter arrive with each
-//!   lease, so workers take no experiment flags.
-//! * `--merge DIR..` — merge previously written shard directories.
-//! * `--out DIR` — CSV output directory (default `target/repro/`).
+//!   unit-tagged partial CSVs; run one shard per host or process.
+//! * `--merge DIR..` — merge previously written shard directories into
+//!   `--out`, bit-identical to the unsharded run. Every shard directory
+//!   must exist: a missing one is an error, never silently dropped rows.
+//! * `--out DIR` — CSV output directory (default `target/repro/`),
+//!   created up front even when a shard owns no units.
 //! * `--tau-jitter N` — jitter the fig5/table2 exposure window by ±N
 //!   cycles per trace (default 0, the fixed historical window).
 //!
 //! The persistent calibration cache lives at `SMACK_CALIB_DIR` when set,
-//! else `<out>/calib/`; every process attaches it, so a shard spawned
+//! else `<out>/calib/`; every process attaches it, so a shard started
 //! after another has warmed the cache loads calibrations instead of
 //! recomputing them.
 
@@ -46,11 +36,6 @@ use smack::session::Sessions;
 use crate::registry::{self, Experiment, Group, RunSpec};
 use crate::report;
 use crate::runner::{Runner, Shard};
-use crate::service::chaos::ChaosPlan;
-use crate::service::coordinator::{
-    Service, ServiceConfig, DEFAULT_GRACE_MS, DEFAULT_LEASE_MS, DEFAULT_TIMEOUT_MS,
-};
-use crate::service::worker::{run_worker, WorkerConfig};
 use crate::Mode;
 
 /// What a binary runs when no experiment names are given.
@@ -60,78 +45,34 @@ pub enum Selection {
     Paper,
     /// Every ablation (the `ablations` binary).
     Ablations,
-    /// One named experiment (the per-figure shims).
-    Named(&'static str),
-}
-
-/// The subcommand: a plain experiment run, the service coordinator, or
-/// a service worker.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Cmd {
-    /// Run experiments in this process (possibly via `--shards N`).
-    Run,
-    /// Run the experiment-service coordinator (`coordinate`).
-    Coordinate,
-    /// Run an experiment-service worker (`work`).
-    Work,
 }
 
 /// Parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 struct Args {
-    cmd: Cmd,
     names: Vec<String>,
     mode: Mode,
     threads: Option<usize>,
     shard: Shard,
-    shards: Option<usize>,
     out: Option<PathBuf>,
     tau_jitter: u64,
     merge: bool,
     list: bool,
-    addr: Option<String>,
-    connect: Option<String>,
-    workers: Option<usize>,
-    lease_ms: u64,
-    grace_ms: u64,
-    timeout_ms: u64,
 }
 
 const USAGE: &str = "usage: <bin> [EXPERIMENT..] [--full] [--threads N] [--shard K/N] \
-                     [--shards N] [--out DIR] [--tau-jitter N] [--merge DIR..] [--list]\n\
-       <bin> coordinate [EXPERIMENT..] [--workers N] [--addr HOST:PORT] [--lease-ms N] \
-                     [--grace-ms N] [--timeout-ms N] [common flags]\n\
-       <bin> work --connect HOST:PORT [--threads N]";
+                     [--out DIR] [--tau-jitter N] [--merge DIR..] [--list]";
 
 fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        cmd: Cmd::Run,
         names: Vec::new(),
         mode: Mode::Quick,
         threads: None,
         shard: Shard::solo(),
-        shards: None,
         out: None,
         tau_jitter: 0,
         merge: false,
         list: false,
-        addr: None,
-        connect: None,
-        workers: None,
-        lease_ms: DEFAULT_LEASE_MS,
-        grace_ms: DEFAULT_GRACE_MS,
-        timeout_ms: DEFAULT_TIMEOUT_MS,
-    };
-    let argv = match argv.first().map(String::as_str) {
-        Some("coordinate") => {
-            args.cmd = Cmd::Coordinate;
-            &argv[1..]
-        }
-        Some("work") => {
-            args.cmd = Cmd::Work;
-            &argv[1..]
-        }
-        _ => argv,
     };
     let mut it = argv.iter().peekable();
     let value_of = |flag: &str,
@@ -158,11 +99,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                 args.shard = Shard::parse(&v)
                     .ok_or_else(|| format!("bad --shard value `{v}` (want K/N)"))?;
             }
-            a if a == "--shards" || a.starts_with("--shards=") => {
-                let v = value_of("--shards", &mut it, a)?;
-                let n = v.parse::<usize>().ok().filter(|n| *n > 0);
-                args.shards = Some(n.ok_or_else(|| format!("bad --shards value `{v}`"))?);
-            }
             a if a == "--out" || a.starts_with("--out=") => {
                 args.out = Some(PathBuf::from(value_of("--out", &mut it, a)?));
             }
@@ -171,73 +107,12 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                 args.tau_jitter =
                     v.parse::<u64>().map_err(|_| format!("bad --tau-jitter value `{v}`"))?;
             }
-            a if a == "--addr" || a.starts_with("--addr=") => {
-                args.addr = Some(value_of("--addr", &mut it, a)?);
-            }
-            a if a == "--connect" || a.starts_with("--connect=") => {
-                args.connect = Some(value_of("--connect", &mut it, a)?);
-            }
-            a if a == "--workers" || a.starts_with("--workers=") => {
-                let v = value_of("--workers", &mut it, a)?;
-                args.workers =
-                    Some(v.parse::<usize>().map_err(|_| format!("bad --workers value `{v}`"))?);
-            }
-            a if a == "--lease-ms" || a.starts_with("--lease-ms=") => {
-                let v = value_of("--lease-ms", &mut it, a)?;
-                let n = v.parse::<u64>().ok().filter(|n| *n > 0);
-                args.lease_ms = n.ok_or_else(|| format!("bad --lease-ms value `{v}`"))?;
-            }
-            a if a == "--grace-ms" || a.starts_with("--grace-ms=") => {
-                let v = value_of("--grace-ms", &mut it, a)?;
-                args.grace_ms =
-                    v.parse::<u64>().map_err(|_| format!("bad --grace-ms value `{v}`"))?;
-            }
-            a if a == "--timeout-ms" || a.starts_with("--timeout-ms=") => {
-                let v = value_of("--timeout-ms", &mut it, a)?;
-                let n = v.parse::<u64>().ok().filter(|n| *n > 0);
-                args.timeout_ms = n.ok_or_else(|| format!("bad --timeout-ms value `{v}`"))?;
-            }
             a if a.starts_with("--") => return Err(format!("unknown flag `{a}`")),
             name => args.names.push(name.to_owned()),
         }
     }
-    if args.merge && (args.shards.is_some() || !args.shard.is_solo()) {
-        return Err("--merge cannot be combined with --shard/--shards".to_owned());
-    }
-    if args.shards.is_some() && !args.shard.is_solo() {
-        return Err("--shards spawns its own worker fleet".to_owned());
-    }
-    if args.connect.is_some() && args.cmd != Cmd::Work {
-        return Err("--connect only makes sense for the `work` subcommand".to_owned());
-    }
-    match args.cmd {
-        Cmd::Work => {
-            if args.connect.is_none() {
-                return Err("work needs --connect HOST:PORT".to_owned());
-            }
-            if !args.names.is_empty()
-                || args.merge
-                || args.shards.is_some()
-                || !args.shard.is_solo()
-            {
-                return Err("workers take no experiments or shard flags; \
-                            every run parameter arrives with its lease"
-                    .to_owned());
-            }
-        }
-        Cmd::Coordinate => {
-            if args.merge || args.shards.is_some() || !args.shard.is_solo() {
-                return Err("coordinate owns the whole unit space; drop --shard/--shards/--merge"
-                    .to_owned());
-            }
-        }
-        Cmd::Run => {
-            if args.workers.is_some() || args.addr.is_some() {
-                return Err("--workers/--addr belong to the `coordinate` subcommand \
-                            (plain runs distribute with --shards N)"
-                    .to_owned());
-            }
-        }
+    if args.merge && !args.shard.is_solo() {
+        return Err("--merge cannot be combined with --shard".to_owned());
     }
     Ok(args)
 }
@@ -249,9 +124,6 @@ fn resolve(names: &[String], default: Selection) -> Result<Vec<&'static Experime
         return Ok(match default {
             Selection::Paper => registry::group(Group::Paper),
             Selection::Ablations => registry::group(Group::Ablation),
-            Selection::Named(name) => vec![registry::find(name).ok_or_else(|| {
-                format!("this binary's default experiment `{name}` is not registered")
-            })?],
         });
     }
     names
@@ -295,78 +167,6 @@ fn calib_dir(out_root: &std::path::Path) -> PathBuf {
         .map_or_else(|| out_root.join("calib"), PathBuf::from)
 }
 
-/// Distribute a run through the experiment service: bind the
-/// coordinator, spawn `workers` worker processes (0 = external fleet /
-/// inline degradation), serve leases until every unit has exactly one
-/// accepted result, merge. Replaces the old fork-per-shard orchestration
-/// — `all --shards N` is now a thin client of this path, and a crashed
-/// or hung worker costs one lease period instead of the whole run.
-fn run_service(
-    args: &Args,
-    workers: usize,
-    selection: &[&'static Experiment],
-    out_root: &std::path::Path,
-) -> Result<(), String> {
-    let calib = calib_dir(out_root);
-    let cfg = ServiceConfig {
-        selection: selection.to_vec(),
-        mode: args.mode,
-        threads: args.threads,
-        tau_jitter: args.tau_jitter,
-        out_root: out_root.to_path_buf(),
-        bind: args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_owned()),
-        workers,
-        lease_ms: args.lease_ms,
-        grace_ms: args.grace_ms,
-        timeout_ms: args.timeout_ms,
-        calib_dir: calib.clone(),
-    };
-    let service = Service::bind(cfg)?;
-    println!("[service] coordinator on {} ({} spawned workers)", service.addr(), workers);
-    let summary = service.run()?;
-    report::banner("service run");
-    println!(
-        "{} units, {} leases ({} expired, {} duplicates, {} failures), \
-         {} run inline, wall {:.1} ms; calibration cache: {}",
-        summary.units,
-        summary.stats.leased,
-        summary.stats.expired,
-        summary.stats.duplicates,
-        summary.stats.failures,
-        summary.inline_units,
-        summary.wall_ms,
-        calib.display()
-    );
-    for note in &summary.worker_notes {
-        println!("[warn] {note}");
-    }
-    for path in &summary.merged {
-        println!("[csv] {} (merged)", path.display());
-    }
-    Ok(())
-}
-
-/// The `work` subcommand: serve leases until the coordinator says done.
-fn run_work(args: &Args) -> Result<(), String> {
-    let connect = args.connect.clone().expect("parse() requires --connect for work");
-    // Workers share the fleet's calibration cache when the coordinator
-    // (or the operator) exported one.
-    if let Some(dir) = std::env::var_os("SMACK_CALIB_DIR").filter(|v| !v.is_empty()) {
-        Sessions::global().attach_disk_cache(PathBuf::from(dir));
-    }
-    let id = std::env::var("SMACK_WORKER_INDEX")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map_or_else(|| format!("worker-pid{}", std::process::id()), |i| format!("worker-{i}"));
-    let cfg = WorkerConfig { connect, threads: args.threads, id, chaos: ChaosPlan::from_env() };
-    let summary = run_worker(&cfg)?;
-    println!(
-        "[{}] {} units completed, {} duplicates discarded, {} failures",
-        cfg.id, summary.completed, summary.duplicates, summary.failures
-    );
-    Ok(())
-}
-
 /// Merge previously written shard directories (`--merge DIR..`).
 fn run_merge(dirs: &[String], out_root: &std::path::Path) -> Result<(), String> {
     if dirs.len() < 2 {
@@ -400,31 +200,27 @@ fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
         print_list();
         return Ok(());
     }
-    if args.cmd == Cmd::Work {
-        return run_work(&args);
-    }
     let out_root = args.out.clone().unwrap_or_else(report::default_repro_dir);
     if args.merge {
         return run_merge(&args.names, &out_root);
     }
     let selection = resolve(&args.names, default)?;
-    if args.cmd == Cmd::Coordinate {
-        return run_service(&args, args.workers.unwrap_or(0), &selection, &out_root);
+    let runner = match args.threads {
+        Some(n) => Runner::with_threads(n),
+        None => Runner::from_env()?,
     }
-    match args.shards {
-        // One shard of one is just the unsharded run — no worker fleet,
-        // no tagged CSVs, nothing to merge.
-        Some(1) | None => {}
-        Some(n) => return run_service(&args, n, &selection, &out_root),
-    }
+    .with_shard(args.shard);
 
+    // Create the output directory even when this shard owns no units, so
+    // a later `--merge` can tell an empty shard from a mistyped path.
+    if let Err(e) = std::fs::create_dir_all(&out_root) {
+        eprintln!("warning: could not create {}: {e}", out_root.display());
+    }
     // Persistent calibration cache: attach before the first experiment so
     // every calibration this process computes is written through, and
     // everything an earlier process computed is loaded instead.
     Sessions::global().attach_disk_cache(calib_dir(&out_root));
 
-    let runner =
-        args.threads.map_or_else(Runner::from_env, Runner::with_threads).with_shard(args.shard);
     let spec =
         RunSpec { mode: args.mode, runner, out_dir: args.out.clone(), tau_jitter: args.tau_jitter };
     let times = registry::run_selection(&selection, &spec);
@@ -485,32 +281,7 @@ mod tests {
         assert!(parse(&strings(&["--threads", "zero"])).is_err());
         assert!(parse(&strings(&["--shard", "5/4"])).is_err());
         assert!(parse(&strings(&["--wat"])).is_err());
-        assert!(parse(&strings(&["--merge", "--shards", "2"])).is_err());
-        assert!(parse(&strings(&["--shards", "2", "--shard", "1/2"])).is_err());
-    }
-
-    #[test]
-    fn parses_service_subcommands() {
-        let c = parse(&strings(&["coordinate", "fig5", "--workers=3", "--lease-ms", "500"]))
-            .expect("coordinate with workers and lease period should parse");
-        assert_eq!(c.cmd, Cmd::Coordinate);
-        assert_eq!(c.names, vec!["fig5"]);
-        assert_eq!(c.workers, Some(3));
-        assert_eq!(c.lease_ms, 500);
-        assert_eq!(c.timeout_ms, DEFAULT_TIMEOUT_MS);
-
-        let w = parse(&strings(&["work", "--connect=127.0.0.1:9", "--threads", "2"]))
-            .expect("work with a connect address should parse");
-        assert_eq!(w.cmd, Cmd::Work);
-        assert_eq!(w.connect.as_deref(), Some("127.0.0.1:9"));
-        assert_eq!(w.threads, Some(2));
-
-        assert!(parse(&strings(&["work"])).is_err(), "work needs --connect");
-        assert!(parse(&strings(&["work", "--connect=x", "fig5"])).is_err());
-        assert!(parse(&strings(&["coordinate", "--shards", "2"])).is_err());
-        assert!(parse(&strings(&["--workers", "2"])).is_err(), "--workers is coordinate-only");
-        assert!(parse(&strings(&["fig5", "--connect=x"])).is_err());
-        assert!(parse(&strings(&["coordinate", "--lease-ms", "0"])).is_err());
+        assert!(parse(&strings(&["--merge", "--shard", "1/2"])).is_err());
     }
 
     #[test]
@@ -521,9 +292,6 @@ mod tests {
         let abl = resolve(&[], Selection::Ablations)
             .expect("no names + Ablations default should resolve");
         assert!(abl.len() >= 7);
-        let named = resolve(&[], Selection::Named("fig5"))
-            .expect("the registered default experiment `fig5` should resolve");
-        assert_eq!(named[0].name, "fig5");
         let picked = resolve(&strings(&["table2", "fig5"]), Selection::Paper)
             .expect("explicit names `table2 fig5` should resolve");
         assert_eq!(picked.iter().map(|e| e.name).collect::<Vec<_>>(), ["table2", "fig5"]);

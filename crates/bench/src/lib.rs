@@ -7,10 +7,10 @@
 //! Every experiment is a descriptor in the declarative
 //! [`registry`](crate::registry): name, title, CSV schema, shardable
 //! *unit* count, and a run function over a [`registry::Ctx`]. One shared
-//! CLI ([`cli`]) looks experiments up by name; the fourteen binaries are
-//! thin shims differing only in their default selection:
+//! CLI ([`cli`]) looks experiments up by name; `all <name>..` runs any of
+//! them, and the two binaries differ only in their default selection:
 //!
-//! | Binary | Paper artifact |
+//! | Name | Paper artifact |
 //! |---|---|
 //! | `fig1` | Figure 1 — probe timing per cache state (+ Mastik row) |
 //! | `fig2` | Figure 2 — SMC counter reverse engineering (Intel + AMD) |
@@ -24,16 +24,14 @@
 //! | `table4` | Table 4 — ISpectre leakage rates (B/s) |
 //! | `table5` | §6.1 — detection accuracy / F-score / FPR |
 //! | `fingerprint` | Case Study II — library fingerprinting |
-//! | `ablations` | every ablation study |
-//! | `all` | the eleven paper artifacts in sequence |
+//! | `ablation_*` | the ablation studies (`ablations` binary default) |
 //!
-//! Every binary accepts `--full` (paper-scale sample counts), `--threads
-//! N` (trial-runner workers), `--shard K/N` (run this slice of the unit
-//! space, emitting mergeable unit-tagged CSVs), `--shards N` (distribute
-//! over a worker fleet via the fault-tolerant experiment [`service`],
-//! bit-identical to the unsharded run), `--out DIR`, `--tau-jitter N`
-//! and `--list`, plus the `coordinate`/`work` service subcommands — see
-//! [`cli`].
+//! The `all` binary runs the eleven paper artifacts by default. Both
+//! binaries accept `--full` (paper-scale sample counts), `--threads N`
+//! (trial-runner workers on this host), `--shard K/N` (run this slice of
+//! the unit space, emitting unit-tagged CSVs), `--merge DIR..`
+//! (reassemble shard directories, bit-identical to the unsharded run),
+//! `--out DIR`, `--tau-jitter N` and `--list` — see [`cli`].
 
 pub mod ablations;
 pub mod cli;
@@ -41,7 +39,6 @@ pub mod experiments;
 pub mod registry;
 pub mod report;
 pub mod runner;
-pub mod service;
 
 /// Run mode for the harnesses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]

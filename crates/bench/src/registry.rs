@@ -26,15 +26,15 @@ use crate::{ablations, experiments, Mode};
 pub enum Group {
     /// A paper evaluation artifact — what `all` runs by default.
     Paper,
-    /// An ablation study (`ablations` binary).
+    /// An ablation study — what `ablations` runs by default.
     Ablation,
-    /// A case-study extra (`fingerprint` binary).
+    /// A case-study extra (`all fingerprint`, `all analyze`).
     CaseStudy,
 }
 
 /// One registered experiment. See the [module documentation](self).
 pub struct Experiment {
-    /// CLI name (also the binary shim's name where one exists).
+    /// CLI name (`all <name>` runs it).
     pub name: &'static str,
     /// Human-readable one-liner for `--list`.
     pub title: &'static str,
@@ -62,27 +62,15 @@ pub struct Ctx {
     unit_base: usize,
     out_dir: Option<PathBuf>,
     tau_jitter: u64,
-    /// Explicit local unit ownership, overriding the shard filter — how
-    /// the experiment service executes exactly one leased unit.
+    /// Explicit local unit ownership, overriding the shard filter.
     unit_filter: Option<Vec<usize>>,
-    /// Emit unit-tagged CSVs even on a solo shard (service workers write
-    /// mergeable partials from a solo-sharded runner).
-    force_tagged: bool,
 }
 
 impl Ctx {
     /// A context that owns every unit and writes to the default output
     /// directory — what the unsharded harness and the tests use.
     pub fn solo(mode: Mode, runner: Runner) -> Ctx {
-        Ctx {
-            mode,
-            runner,
-            unit_base: 0,
-            out_dir: None,
-            tau_jitter: 0,
-            unit_filter: None,
-            force_tagged: false,
-        }
+        Ctx { mode, runner, unit_base: 0, out_dir: None, tau_jitter: 0, unit_filter: None }
     }
 
     /// Replace the CSV output directory (`None` = `target/repro/`).
@@ -104,18 +92,10 @@ impl Ctx {
     }
 
     /// Restrict this context to an explicit set of local unit indices,
-    /// overriding the runner's shard filter — the experiment service uses
-    /// a single-unit filter per lease. Out-of-range indices are ignored.
+    /// overriding the runner's shard filter — e.g. to time one unit of an
+    /// experiment in isolation. Out-of-range indices are ignored.
     pub fn with_unit_filter(mut self, units: Vec<usize>) -> Ctx {
         self.unit_filter = Some(units);
-        self
-    }
-
-    /// Emit unit-tagged (mergeable partial) CSVs regardless of shard
-    /// configuration — service workers run a solo-sharded runner but must
-    /// produce partials the coordinator can merge.
-    pub fn with_forced_tagging(mut self) -> Ctx {
-        self.force_tagged = true;
         self
     }
 
@@ -161,7 +141,7 @@ impl Ctx {
     /// Write a table as this experiment's CSV `name`, unit-tagged when
     /// the run is sharded (reporting, but not aborting on, I/O errors).
     pub fn write_csv(&self, table: &Table, name: &str) {
-        let tagged = self.force_tagged || !self.runner.shard().is_solo();
+        let tagged = !self.runner.shard().is_solo();
         match table.try_write_csv_in(self.out_dir.as_deref(), name, tagged) {
             Ok(path) => println!("[csv] {}", path.display()),
             Err(e) => eprintln!("warning: could not write {name}.csv: {e}"),

@@ -282,15 +282,15 @@ pub fn merge_csvs(parts: &[String]) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; malformed shard CSVs surface as
-/// [`io::ErrorKind::InvalidData`].
+/// Propagates I/O failures, naming any shard directory that cannot be
+/// read (a missing one must not silently drop that shard's rows);
+/// malformed shard CSVs surface as [`io::ErrorKind::InvalidData`].
 pub fn merge_shard_dirs(shard_dirs: &[PathBuf], dest: &Path) -> io::Result<Vec<PathBuf>> {
     let mut names: BTreeSet<String> = BTreeSet::new();
     for dir in shard_dirs {
-        let entries = match fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(_) => continue, // a shard that owned nothing wrote nothing
-        };
+        let entries = fs::read_dir(dir).map_err(|e| {
+            io::Error::new(e.kind(), format!("reading shard directory {}: {e}", dir.display()))
+        })?;
         for entry in entries {
             let name = entry?.file_name().to_string_lossy().into_owned();
             if name.ends_with(".csv") {
@@ -453,6 +453,22 @@ mod tests {
             msg.contains("bad") && msg.contains("x.csv") && msg.contains("truncated"),
             "error must name the torn file: {msg}"
         );
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn merge_shard_dirs_names_a_missing_directory() {
+        let base = std::env::temp_dir().join(format!("smack-report-gone-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        let good_dir = base.join("s1");
+        fs::create_dir_all(&good_dir).unwrap();
+        fs::write(good_dir.join("x.csv"), tagged_csv(&[(0, "x,y")])).unwrap();
+        let merged = base.join("merged");
+        let err = merge_shard_dirs(&[good_dir, base.join("typo")], &merged)
+            .expect_err("a missing shard directory must be rejected");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("typo"), "error must name the directory: {err}");
+        assert!(!merged.exists(), "nothing merged from an incomplete shard set");
         let _ = fs::remove_dir_all(&base);
     }
 

@@ -139,17 +139,32 @@ impl Runner {
         Runner::with_threads(1)
     }
 
-    /// The standard runner: `SMACK_BENCH_THREADS` if set and valid,
-    /// otherwise the machine's available parallelism. (The `--threads N`
-    /// CLI flag builds its runner explicitly and wins over the
-    /// environment.)
-    pub fn from_env() -> Runner {
-        let threads = std::env::var("SMACK_BENCH_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        Runner::with_threads(threads)
+    /// The standard runner: `SMACK_BENCH_THREADS` when set, otherwise the
+    /// machine's available parallelism. (The `--threads N` CLI flag builds
+    /// its runner explicitly and wins over the environment.)
+    ///
+    /// # Errors
+    ///
+    /// A set but invalid value (`0`, `abc`, ...) is an error naming it,
+    /// exactly as `--threads 0` is; unset or empty means the default.
+    pub fn from_env() -> Result<Runner, String> {
+        let var = std::env::var_os("SMACK_BENCH_THREADS");
+        Runner::from_threads_var(var.as_deref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`Runner::from_env`] over an explicit `SMACK_BENCH_THREADS` value.
+    fn from_threads_var(value: Option<&str>) -> Result<Runner, String> {
+        match value.filter(|v| !v.is_empty()) {
+            None => Ok(Runner::with_threads(
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            )),
+            Some(v) => v
+                .parse::<usize>()
+                .ok()
+                .filter(|n| *n > 0)
+                .map(Runner::with_threads)
+                .ok_or_else(|| format!("bad SMACK_BENCH_THREADS value `{v}` (want N > 0)")),
+        }
     }
 
     /// This runner restricted to one shard of the unit space.
@@ -287,7 +302,23 @@ mod tests {
 
     #[test]
     fn zero_trials_is_empty() {
-        assert!(Runner::from_env().run(0, |i| i).is_empty());
+        let runner = Runner::from_env().expect("SMACK_BENCH_THREADS unset or valid");
+        assert!(runner.run(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn threads_env_is_validated_not_ignored() {
+        let default = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(Runner::from_threads_var(None).unwrap().threads(), default);
+        assert_eq!(Runner::from_threads_var(Some("")).unwrap().threads(), default);
+        assert_eq!(Runner::from_threads_var(Some("3")).unwrap().threads(), 3);
+        for bad in ["0", "abc", "-1", " 2"] {
+            let err = Runner::from_threads_var(Some(bad)).expect_err(bad);
+            assert!(
+                err.contains("SMACK_BENCH_THREADS") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ fn quick_table2_is_fast_enough_for_ci() {
     // complete promptly — this is the heaviest single experiment `all`
     // runs in quick mode.
     let start = std::time::Instant::now();
-    let rows = table2_rows(Mode::Quick, &Runner::from_env());
+    let rows =
+        table2_rows(Mode::Quick, &Runner::from_env().expect("SMACK_BENCH_THREADS unset or valid"));
     assert_eq!(rows.len(), smack_crypto::SrpGroup::PAPER_SIZES.len());
     for row in &rows {
         assert!(row.smack > row.mastik, "SMaCk must beat Mastik at {} bits", row.group_bits);
