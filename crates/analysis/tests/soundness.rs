@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use smack_analysis::{analyze, audit_patches, SecretSpec};
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
-use smack_uarch::{DecodedProgram, Machine, MicroArch, NoiseConfig, ThreadId};
+use smack_uarch::{DecodedProgram, ExecConfig, Machine, MicroArch, NoiseConfig, ThreadId, Tier};
 
 const T0: ThreadId = ThreadId::T0;
 const CODE_BASE: u64 = 0x10_0000;
@@ -168,7 +168,7 @@ fn observed_lines(prog: &Program, noise_seed: Option<u64>) -> Vec<u64> {
         Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
         None => Machine::new(profile),
     };
-    m.set_decoded_fast_path(false);
+    m.set_exec(ExecConfig { tier: Tier::Reference, ..ExecConfig::DEFAULT });
     m.load_program(prog);
     m.set_fetch_log(true);
     m.start_program(T0, prog.entry(), &[]);

@@ -4,12 +4,13 @@
 //! steady-state cost of one simulated instruction bounds every campaign.
 //! This benchmark times victim-shaped loop programs (straight-line ALU
 //! bodies closed by a backward branch, like `mul_n`) under the three
-//! interpreter tiers — superblock execution (the default), the per-step
-//! decoded fast path (`Machine::set_superblocks(false)`), and the
-//! original per-step `BTreeMap` reference interpreter
-//! (`Machine::set_decoded_fast_path(false)`) — plus a full covert-channel
-//! trial to translate instructions/sec into trials/sec, and one quick
-//! repro (`all`) wall-time sample when the binary is available.
+//! interpreter tiers of [`Tier`] — superblock execution (`Tier::Fast`,
+//! the default), the per-step decoded fast path (`Tier::Decoded`), and
+//! the original per-step `BTreeMap` reference interpreter
+//! (`Tier::Reference`) — plus a full covert-channel trial to translate
+//! instructions/sec into trials/sec, and one quick repro (`all`)
+//! wall-time sample when the binary is available. The per-step trial and
+//! probe rows run on `Tier::Decoded`.
 //!
 //! Results go to stdout and to `BENCH_engine.json` at the workspace root
 //! (CI uploads it as an artifact). `SMACK_BENCH_QUICK=1` cuts the
@@ -23,7 +24,7 @@ use smack::session::{Scenario, Sessions};
 use smack::{OraclePage, Prober};
 use smack_uarch::asm::Assembler;
 use smack_uarch::isa::Reg;
-use smack_uarch::{Addr, Machine, MicroArch, PerfEvent, ProbeKind, ThreadId};
+use smack_uarch::{Addr, ExecConfig, Machine, MicroArch, PerfEvent, ProbeKind, ThreadId, Tier};
 
 /// A victim-shaped loop: `body` ALU instructions closed by
 /// `add/cmp/jne`, iterated `iters` times, then `halt`. Mirrors the modexp
@@ -49,26 +50,11 @@ fn loop_program(body: usize, iters: u64) -> (smack_uarch::asm::Program, u64) {
     (a.assemble().expect("loop program assembles"), (body as u64 + 3) * iters)
 }
 
-/// The three interpreter tiers, fastest first.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Tier {
-    /// Decoded fast path + superblock batched retirement (the default).
-    Superblock,
-    /// Decoded fast path, per-step retirement.
-    Decoded,
-    /// Original per-step `BTreeMap` reference interpreter.
-    Reference,
-}
-
 /// One timed run of `steps` instructions of `prog` on a fresh machine
 /// under the given interpreter tier.
 fn one_run(prog: &smack_uarch::asm::Program, steps: u64, tier: Tier) -> f64 {
     let mut m = Machine::new(MicroArch::CascadeLake.profile());
-    match tier {
-        Tier::Superblock => m.set_superblocks(true),
-        Tier::Decoded => m.set_superblocks(false),
-        Tier::Reference => m.set_decoded_fast_path(false),
-    }
+    m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
     m.load_program(prog);
     m.start_program(ThreadId::T0, prog.entry(), &[]);
     let t = Instant::now();
@@ -83,7 +69,7 @@ fn one_run(prog: &smack_uarch::asm::Program, steps: u64, tier: Tier) -> f64 {
 fn time_interpreters(prog: &smack_uarch::asm::Program, steps: u64, reps: usize) -> (f64, f64, f64) {
     let (mut sb, mut fast, mut refr) = (f64::MAX, f64::MAX, f64::MAX);
     for _ in 0..reps {
-        sb = sb.min(one_run(prog, steps, Tier::Superblock));
+        sb = sb.min(one_run(prog, steps, Tier::Fast));
         fast = fast.min(one_run(prog, steps, Tier::Decoded));
         refr = refr.min(one_run(prog, steps, Tier::Reference));
     }
@@ -92,21 +78,18 @@ fn time_interpreters(prog: &smack_uarch::asm::Program, steps: u64, reps: usize) 
 
 /// Best-of-`reps` wall time for one pooled covert-channel trial
 /// (Prime+iProbe, store probe, `bits`-bit payload) — the end-to-end unit
-/// the experiment harnesses repeat thousands of times. `fused` toggles the
-/// fused probe tier on the checked-out machine (pool checkout resets the
-/// flag to the process default, so the override goes after checkout).
-fn time_trial(sessions: &Sessions, bits: usize, reps: usize, fused: bool) -> f64 {
+/// the experiment harnesses repeat thousands of times, on every machine
+/// `sessions` checks out.
+fn time_trial(sessions: &Sessions, bits: usize, reps: usize) -> f64 {
     let scenario = Scenario::new(MicroArch::CascadeLake);
     let spec = ChannelSpec::prime_probe(ProbeKind::Store);
     let payload = random_payload(bits, 7);
     // Warm the calibration cache so the loop times steady-state trials.
     let mut session = sessions.session(&scenario);
-    session.machine().set_fused_probes(fused);
     run_channel_in(&mut session, &spec, &payload, false).expect("channel runs");
     let mut best = f64::MAX;
     for _ in 0..reps {
         let mut session = sessions.session(&scenario);
-        session.machine().set_fused_probes(fused);
         let t = Instant::now();
         run_channel_in(&mut session, &spec, &payload, false).expect("channel runs");
         best = best.min(t.elapsed().as_secs_f64());
@@ -114,7 +97,8 @@ fn time_trial(sessions: &Sessions, bits: usize, reps: usize, fused: bool) -> f64
     best
 }
 
-/// Best-of-`reps` ns per probe for each probe class, fused vs per-step:
+/// Best-of-`reps` ns per probe for each probe class, fused (`Tier::Fast`)
+/// vs per-step (`Tier::Decoded`):
 /// the phase the fused probe tier targets, isolated from prime/send/wait
 /// cost. The probed line holds a real routine (like the channels' oracle
 /// pages), so the `Execute` class — which can never fuse — has something
@@ -126,9 +110,9 @@ fn time_probes(reps: usize) -> Vec<(ProbeKind, f64, f64)> {
     for kind in ProbeKind::ALL {
         let mut best = [f64::MAX; 2];
         for _ in 0..reps {
-            for (slot, fused) in [(0usize, true), (1, false)] {
+            for (slot, tier) in [(0usize, Tier::Fast), (1, Tier::Decoded)] {
                 let mut m = Machine::new(MicroArch::CascadeLake.profile());
-                m.set_fused_probes(fused);
+                m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
                 let page = OraclePage::build(SCRATCH, 1);
                 page.install(&mut m);
                 let line = page.line(0);
@@ -255,10 +239,10 @@ fn main() {
         rows.push((body, sb_ips, fast_ips, ref_ips));
     }
 
-    let sessions = Sessions::new();
     let bits = 64;
-    let trial = time_trial(&sessions, bits, reps, true);
-    let trial_stepped = time_trial(&sessions, bits, reps, false);
+    let trial = time_trial(&Sessions::new(), bits, reps);
+    let decoded = ExecConfig { tier: Tier::Decoded, ..ExecConfig::DEFAULT };
+    let trial_stepped = time_trial(&Sessions::with_exec(decoded), bits, reps);
     let trials_per_sec = 1.0 / trial;
     let trials_per_sec_per_step = 1.0 / trial_stepped;
     println!(

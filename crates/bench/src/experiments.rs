@@ -30,7 +30,7 @@ use smack::characterize::{figure1, figure1_mastik_row, figure2};
 use smack::fingerprint::{library_id_experiment, mul_set_detection_accuracy, SweepConfig};
 use smack::ispectre::{applicability_in, leak_secret_in, Applicability, ISpectreConfig};
 use smack::rsa::{self, RsaAttackConfig};
-use smack::session::{Scenario, Session, Sessions};
+use smack::session::{Scenario, Session};
 use smack::srp::{self, SrpAttackConfig};
 use smack_analysis::{AnalysisReport, Verdict};
 use smack_crypto::Bignum;
@@ -252,8 +252,8 @@ pub fn fig3(ctx: &Ctx) {
     let bits = ctx.mode().pick(24, 48);
     // A recognizable pattern, as in the paper's plot.
     let payload: Vec<bool> = (0..bits).map(|i| matches!(i % 4, 0 | 2 | 3)).collect();
-    let mut session = Sessions::global()
-        .session(&Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::noisy()));
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::noisy());
+    let mut session = ctx.runner().sessions().session(&scenario);
     let r =
         run_channel_in(&mut session, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, true)
             .expect("channel runs");
@@ -290,8 +290,8 @@ pub fn fig4(ctx: &Ctx) {
     let exp = Bignum::random_bits(&mut rng, bits);
     let cfg = RsaAttackConfig::new(ProbeKind::Store);
     let victim = rsa::build_victim(&cfg);
-    let mut session = Sessions::global()
-        .session(&Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0xf4));
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0xf4);
+    let mut session = ctx.runner().sessions().session(&scenario);
     let trace = rsa::collect_trace_in(&mut session, &victim, &exp, &cfg).expect("trace");
     let mut t = Table::new(&["sample", "min timing", "activity"]);
     for (i, sample) in trace.samples.iter().enumerate().take(400) {
@@ -554,8 +554,8 @@ pub fn fig6(ctx: &Ctx) {
     let mut rng = SmallRng::seed_from_u64(0xf6);
     let b = Bignum::random_bits(&mut rng, exp_bits);
     let cfg = SrpAttackConfig::new(6144);
-    let mut session = Sessions::global()
-        .session(&Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0xf6));
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0xf6);
+    let mut session = ctx.runner().sessions().session(&scenario);
     let out = srp::single_trace_attack_in(&mut session, &b, &cfg).expect("attack runs");
     let events = srp::event_times(&out.samples);
     let measured = srp::measured_square_runs(&out.samples);

@@ -9,10 +9,11 @@
 //!
 //! [`Runner::run_scenarios`] is the session-layer entry point every
 //! `fig*`/`table*` harness uses: each trial closure receives a
-//! [`Session`] checked out from the process-wide [`Sessions`] registry —
-//! a pooled machine in the scenario's exact cold start state plus the
-//! shared calibration cache — instead of constructing `Machine`s and
-//! calibrating inline. Machine reuse and cached calibrations are
+//! [`Session`] checked out from the runner's [`Sessions`] registry (the
+//! process-wide [`Sessions::global`] unless [`Runner::with_sessions`]
+//! names another) — a pooled machine in the scenario's exact cold start
+//! state plus the shared calibration cache — instead of constructing
+//! `Machine`s and calibrating inline. Machine reuse and cached calibrations are
 //! unobservable to the trials (a reset machine is bit-identical to a
 //! fresh one, and calibrations are pure functions of their cache key), so
 //! the parallel-equals-sequential guarantee carries over unchanged.
@@ -121,17 +122,20 @@ where
     }
 }
 
-/// A pool configuration for running independent trials.
+/// A pool configuration for running independent trials, plus the
+/// session registry its trials check machines out from.
 #[derive(Copy, Clone, Debug)]
 pub struct Runner {
     threads: usize,
     shard: Shard,
+    sessions: &'static Sessions,
 }
 
 impl Runner {
-    /// A runner with an explicit worker count (at least one).
+    /// A runner with an explicit worker count (at least one), drawing
+    /// sessions from [`Sessions::global`].
     pub fn with_threads(threads: usize) -> Runner {
-        Runner { threads: threads.max(1), shard: Shard::solo() }
+        Runner { threads: threads.max(1), shard: Shard::solo(), sessions: Sessions::global() }
     }
 
     /// A sequential runner (one worker, running inline).
@@ -171,6 +175,19 @@ impl Runner {
     pub fn with_shard(mut self, shard: Shard) -> Runner {
         self.shard = shard;
         self
+    }
+
+    /// This runner drawing sessions from `sessions` instead of
+    /// [`Sessions::global`] — e.g. a registry built with
+    /// [`Sessions::with_exec`] to run experiments on another engine tier.
+    pub fn with_sessions(mut self, sessions: &'static Sessions) -> Runner {
+        self.sessions = sessions;
+        self
+    }
+
+    /// The session registry every trial checks out from.
+    pub fn sessions(&self) -> &'static Sessions {
+        self.sessions
     }
 
     /// The unit-space shard this runner executes.
@@ -244,10 +261,10 @@ impl Runner {
     /// Run `n` session-backed trials and collect the results in index
     /// order — the single entry point for every `fig*`/`table*` harness.
     ///
-    /// Each trial receives a [`Session`] checked out from
-    /// [`Sessions::global`] for `spec.scenario(i)`: a pooled machine in
+    /// Each trial receives a [`Session`] checked out from this runner's
+    /// [`Runner::sessions`] for `spec.scenario(i)`: a pooled machine in
     /// the exact `Machine::with_noise(profile, noise, seed)` cold start
-    /// state, plus the process-wide calibration cache. As with
+    /// state, plus the registry's shared calibration cache. As with
     /// [`Runner::run`], `f` must derive any randomness from the trial
     /// index or the scenario, so parallel output is bit-identical to
     /// sequential output.
@@ -262,7 +279,7 @@ impl Runner {
         F: Fn(&mut Session<'_>, usize) -> T + Sync,
     {
         self.run(n, |i| {
-            let mut session = Sessions::global().session(&spec.scenario(i));
+            let mut session = self.sessions.session(&spec.scenario(i));
             f(&mut session, i)
         })
     }

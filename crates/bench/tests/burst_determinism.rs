@@ -1,28 +1,42 @@
-//! Burst scheduling is pure mechanics: `Machine` hands the engine
-//! `burst` steps at a time, but every step makes the same causal-order
-//! thread choice the per-instruction scheduler made, so experiment
-//! output must be bit-identical for every burst size — and for the
-//! decoded fast path vs the reference interpreter. These tests lock the
-//! contract at the experiment level (covert-channel reports and RSA
-//! attack traces); CI additionally diffs whole `target/repro/` trees at
-//! `SMACK_BURST=1` vs the default.
+//! Burst scheduling and the interpreter tiers are pure mechanics:
+//! `Machine` hands the engine `burst` steps at a time, but every step
+//! makes the same causal-order thread choice the per-instruction
+//! scheduler made, and the per-step tiers retire exactly what the fused
+//! paths batch — so experiment output must be bit-identical under every
+//! [`ExecConfig`]. These tests lock the contract at the experiment level
+//! (covert-channel reports and RSA attack traces);
+//! `crates/bench/tests/exec_matrix.rs` locks it over the whole quick
+//! repro.
 
 use smack::channel::{random_payload, run_channel, ChannelSpec};
 use smack::rsa::{build_victim, collect_trace_on, RsaAttackConfig};
 use smack_crypto::Bignum;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind};
+use smack_uarch::{
+    ExecConfig, Machine, MicroArch, NoiseConfig, PerfEvent, ProbeKind, ThreadId, Tier,
+};
 
 /// The configurations every experiment output must agree across:
-/// burst 1 (the historical per-instruction scheduling), a deliberately
-/// odd small burst, the default-scale burst, and the reference
-/// interpreter at full burst.
-const CONFIGS: [(u64, bool); 4] = [(1, true), (3, true), (4096, true), (4096, false)];
+/// [`ExecConfig::MATRIX`] (the default first, burst 1 — the historical
+/// per-instruction scheduling — and the two per-step tiers) plus a
+/// deliberately odd small burst.
+fn configs() -> impl Iterator<Item = ExecConfig> {
+    ExecConfig::MATRIX.into_iter().chain([ExecConfig::new(Tier::Fast, 3)])
+}
 
-fn machine(seed: u64, burst: u64, decoded: bool) -> Machine {
+fn machine(seed: u64, exec: ExecConfig) -> Machine {
     let mut m = Machine::with_noise(MicroArch::CascadeLake.profile(), NoiseConfig::quiet(), seed);
-    m.set_burst_steps(burst);
-    m.set_decoded_fast_path(decoded);
+    m.set_exec(exec);
     m
+}
+
+/// The per-step tiers must never take a fused path.
+fn assert_fusion_matches_tier(m: &Machine, exec: ExecConfig) {
+    let fast = m.counters(ThreadId::T0).read(PerfEvent::SimProbeFastPath);
+    if exec.tier == Tier::Fast {
+        assert!(fast > 0, "{exec:?} never took the fused path");
+    } else {
+        assert_eq!(fast, 0, "{exec:?} took a fused path");
+    }
 }
 
 #[test]
@@ -31,18 +45,13 @@ fn channel_reports_identical_across_burst_sizes() {
         [ChannelSpec::prime_probe(ProbeKind::Store), ChannelSpec::flush_reload(ProbeKind::Flush)]
     {
         let payload = random_payload(48, 11);
-        let (b0, d0) = CONFIGS[0];
-        let baseline =
-            run_channel(&mut machine(7, b0, d0), &spec, &payload, false).expect("channel runs");
-        for (burst, decoded) in &CONFIGS[1..] {
-            let got = run_channel(&mut machine(7, *burst, *decoded), &spec, &payload, false)
-                .expect("channel runs");
-            assert_eq!(
-                got,
-                baseline,
-                "{} diverged at burst={burst} decoded={decoded}",
-                spec.name()
-            );
+        let mut baseline = None;
+        for exec in configs() {
+            let mut m = machine(7, exec);
+            let got = run_channel(&mut m, &spec, &payload, false).expect("channel runs");
+            assert_fusion_matches_tier(&m, exec);
+            let base = baseline.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, base, "{} diverged under {exec:?}", spec.name());
         }
     }
 }
@@ -52,14 +61,13 @@ fn rsa_traces_identical_across_burst_sizes() {
     let cfg = RsaAttackConfig::new(ProbeKind::Store);
     let victim = build_victim(&cfg);
     let exp = Bignum::from_hex("b5a96e1dc3f47a2b");
-    let (b0, d0) = CONFIGS[0];
-    let baseline = collect_trace_on(&mut machine(13, b0, d0), &victim, &exp, &cfg, 13, None)
-        .expect("trace collects");
-    assert!(!baseline.samples.is_empty(), "attack produced samples");
-    for (burst, decoded) in &CONFIGS[1..] {
-        let got =
-            collect_trace_on(&mut machine(13, *burst, *decoded), &victim, &exp, &cfg, 13, None)
-                .expect("trace collects");
-        assert_eq!(got, baseline, "trace diverged at burst={burst} decoded={decoded}");
+    let mut baseline = None;
+    for exec in configs() {
+        let mut m = machine(13, exec);
+        let got = collect_trace_on(&mut m, &victim, &exp, &cfg, 13, None).expect("trace collects");
+        assert!(!got.samples.is_empty(), "attack produced samples");
+        assert_fusion_matches_tier(&m, exec);
+        let base = baseline.get_or_insert_with(|| got.clone());
+        assert_eq!(&got, base, "trace diverged under {exec:?}");
     }
 }

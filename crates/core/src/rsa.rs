@@ -141,7 +141,8 @@ pub fn collect_trace_in(
 /// pre-computed calibration (`None` calibrates inline, like
 /// [`collect_trace`]). The low-level entry for drivers that manage their
 /// own machines — e.g. the burst-determinism regression tests, which pin
-/// [`Machine::set_burst_steps`] per machine.
+/// an [`ExecConfig`](smack_uarch::ExecConfig) per machine with
+/// [`Machine::set_exec`].
 ///
 /// # Errors
 ///

@@ -41,8 +41,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smack_uarch::{
-    Addr, Machine, MachinePool, MicroArch, NoiseConfig, Placement, PooledMachine, ProbeKind,
-    StepError, ThreadId, UarchProfile,
+    Addr, ExecConfig, Machine, MachinePool, MicroArch, NoiseConfig, Placement, PooledMachine,
+    ProbeKind, StepError, ThreadId, UarchProfile,
 };
 
 use crate::calibrate::{calibrate_with_cold, CalibratedProbe};
@@ -406,18 +406,30 @@ impl CalibrationCache {
 }
 
 /// The shared session registry: one machine pool plus one calibration
-/// cache. Experiment harnesses use the process-wide [`Sessions::global`];
-/// tests build private registries to observe counters in isolation.
+/// cache, and the [`ExecConfig`] every machine it hands out runs under.
+/// Experiment harnesses use the process-wide [`Sessions::global`]; tests
+/// build private registries to observe counters in isolation or to run
+/// under another execution config.
 #[derive(Debug, Default)]
 pub struct Sessions {
     pool: MachinePool,
     calibrations: CalibrationCache,
+    exec: ExecConfig,
 }
 
 impl Sessions {
     /// An empty registry.
     pub fn new() -> Sessions {
         Sessions::default()
+    }
+
+    /// An empty registry whose every checkout — trial sessions,
+    /// [`Session::renew`] and calibration machines alike — runs under
+    /// `exec`. Output is bit-identical under every config, so this only
+    /// trades speed; the equivalence tests use it to run whole
+    /// experiments on each tier.
+    pub fn with_exec(exec: ExecConfig) -> Sessions {
+        Sessions { exec, ..Sessions::default() }
     }
 
     /// The process-wide registry. All `fig*`/`table*` experiments draw
@@ -449,12 +461,14 @@ impl Sessions {
     }
 
     /// Check out a session for `scenario`: a pooled machine in the exact
-    /// `Machine::with_noise(profile, noise, seed)` state plus access to
-    /// the shared calibration cache.
+    /// `Machine::with_noise(profile, noise, seed)` state, running under
+    /// this registry's [`ExecConfig`], plus access to the shared
+    /// calibration cache.
     pub fn session(&self, scenario: &Scenario) -> Session<'_> {
         let profile = scenario.profile();
         let profile_fp = profile.fingerprint();
-        let machine = self.pool.checkout(&profile, scenario.noise, scenario.seed);
+        let mut machine = self.pool.checkout(&profile, scenario.noise, scenario.seed);
+        machine.set_exec(self.exec);
         Session { machine, owner: self, scenario: scenario.clone(), profile_fp }
     }
 
@@ -527,6 +541,7 @@ impl Sessions {
     ) -> Result<CalibratedProbe, StepError> {
         let profile = scenario.profile();
         let mut machine = self.pool.checkout(&profile, noise, CAL_SEED);
+        machine.set_exec(self.exec);
         calibrate_with_cold(&mut machine, CAL_THREAD, kind, CAL_SCRATCH, CAL_SAMPLES, cold)
     }
 }
@@ -560,6 +575,7 @@ impl Session<'_> {
     pub fn renew(&mut self, seed: u64) {
         self.scenario.seed = seed;
         self.machine.reset(self.scenario.noise, seed);
+        self.machine.set_exec(self.owner.exec);
     }
 
     /// Guard for the `_in` attack entry points: the session must have
@@ -642,6 +658,21 @@ mod tests {
         let s = Scenario::new(MicroArch::CascadeLake);
         assert_eq!(s.seed(), 0x5eed);
         assert_eq!(s.noise().fingerprint(), NoiseConfig::quiet().fingerprint());
+    }
+
+    #[test]
+    fn exec_config_survives_checkout_and_renew() {
+        let exec = ExecConfig::new(smack_uarch::Tier::Reference, 1);
+        let sessions = Sessions::with_exec(exec);
+        let scenario = Scenario::new(MicroArch::CascadeLake);
+        for _ in 0..2 {
+            let mut session = sessions.session(&scenario);
+            assert_eq!(session.machine().exec(), exec);
+            session.renew(7);
+            assert_eq!(session.machine().exec(), exec);
+        }
+        assert_eq!(sessions.pool().stats().reused, 1, "second checkout reset a pooled machine");
+        assert_eq!(Sessions::new().session(&scenario).machine().exec(), ExecConfig::DEFAULT);
     }
 
     #[test]

@@ -1,27 +1,36 @@
 //! The fused probe tier must be invisible to everything built on top of
 //! [`Prober`]: measurements, waits, calibration thresholds, and whole
 //! covert-channel transmissions must be bit-identical whether probe
-//! sequences retire through the fused engine pass or per-step injection.
+//! sequences retire through the fused engine pass ([`Tier::Fast`]) or
+//! per-step injection (both per-step tiers, which must never fuse).
 
 use smack::{calibrate_with_cold, run_channel, ChannelSpec, Prober};
 use smack_uarch::{
-    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
+    Addr, ExecConfig, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
+    Tier,
 };
 
 const T0: ThreadId = ThreadId::T0;
 const SCRATCH: Addr = Addr(0x3_0000);
 
-fn machine(fused: bool) -> Machine {
+/// The tiers that execute every probe per-step.
+const PER_STEP: [Tier; 2] = [Tier::Decoded, Tier::Reference];
+
+fn machine(tier: Tier) -> Machine {
     let mut m = Machine::new(MicroArch::CascadeLake.profile());
-    m.set_fused_probes(fused);
+    m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
     m
 }
 
-fn noisy_machine(fused: bool, seed: u64) -> Machine {
+fn noisy_machine(tier: Tier, seed: u64) -> Machine {
     let mut m =
         Machine::with_noise(MicroArch::CascadeLake.profile(), NoiseConfig::realistic(), seed);
-    m.set_fused_probes(fused);
+    m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
     m
+}
+
+fn fast_path_count(m: &Machine) -> u64 {
+    m.counters(T0).read(PerfEvent::SimProbeFastPath)
 }
 
 /// Counter values both configurations must agree on: everything except
@@ -62,54 +71,69 @@ fn measure_all_kinds(m: &mut Machine) -> Vec<(ProbeKind, u64, u64)> {
 
 #[test]
 fn prober_measurements_match_per_step_for_all_kinds() {
-    let mut fused = machine(true);
-    let mut stepped = machine(false);
+    let mut fused = machine(Tier::Fast);
     let a = measure_all_kinds(&mut fused);
-    let b = measure_all_kinds(&mut stepped);
-    assert_eq!(a, b, "probe timings or clocks diverged under fusion");
-    assert_eq!(hw_counters(&fused), hw_counters(&stepped));
     // Every class but Execute (whose timed call cannot fuse) took the
-    // fast path; the per-step machine never did.
-    let fast = fused.counters(T0).read(PerfEvent::SimProbeFastPath);
-    assert_eq!(fast, (ProbeKind::ALL.len() as u64 - 1) * 3);
-    assert_eq!(stepped.counters(T0).read(PerfEvent::SimProbeFastPath), 0);
+    // fast path; the per-step machines never did.
+    assert_eq!(fast_path_count(&fused), (ProbeKind::ALL.len() as u64 - 1) * 3);
+    for tier in PER_STEP {
+        let mut stepped = machine(tier);
+        let b = measure_all_kinds(&mut stepped);
+        assert_eq!(a, b, "probe timings or clocks diverged under {tier:?}");
+        assert_eq!(hw_counters(&fused), hw_counters(&stepped), "{tier:?}");
+        assert_eq!(fast_path_count(&stepped), 0, "{tier:?} took a fused path");
+    }
 }
 
 #[test]
 fn prober_measurements_match_under_noise() {
     for seed in [1u64, 42, 0xdead_beef] {
-        let mut fused = noisy_machine(true, seed);
-        let mut stepped = noisy_machine(false, seed);
-        assert_eq!(
-            measure_all_kinds(&mut fused),
-            measure_all_kinds(&mut stepped),
-            "seed {seed} diverged"
-        );
-        assert_eq!(hw_counters(&fused), hw_counters(&stepped), "seed {seed} counters diverged");
+        let mut fused = noisy_machine(Tier::Fast, seed);
+        let a = measure_all_kinds(&mut fused);
+        for tier in PER_STEP {
+            let mut stepped = noisy_machine(tier, seed);
+            assert_eq!(a, measure_all_kinds(&mut stepped), "seed {seed} diverged under {tier:?}");
+            assert_eq!(
+                hw_counters(&fused),
+                hw_counters(&stepped),
+                "seed {seed} counters diverged under {tier:?}"
+            );
+            assert_eq!(fast_path_count(&stepped), 0, "{tier:?} took a fused path");
+        }
     }
 }
 
 #[test]
 fn prober_wait_matches_chunked_advance() {
-    let mut fused = machine(true);
-    let mut stepped = machine(false);
-    let mut pf = Prober::new(T0);
-    let mut ps = Prober::new(T0);
-    for cycles in [0u64, 1, 199, 200, 201, 1_000, 123_457] {
-        pf.wait(&mut fused, cycles).unwrap();
-        ps.wait(&mut stepped, cycles).unwrap();
-        assert_eq!(fused.clock(T0), stepped.clock(T0), "after wait({cycles})");
+    for tier in PER_STEP {
+        let mut fused = machine(Tier::Fast);
+        let mut stepped = machine(tier);
+        let mut pf = Prober::new(T0);
+        let mut ps = Prober::new(T0);
+        for cycles in [0u64, 1, 199, 200, 201, 1_000, 123_457] {
+            pf.wait(&mut fused, cycles).unwrap();
+            ps.wait(&mut stepped, cycles).unwrap();
+            assert_eq!(fused.clock(T0), stepped.clock(T0), "after wait({cycles}) on {tier:?}");
+        }
+        assert_eq!(hw_counters(&fused), hw_counters(&stepped), "{tier:?}");
     }
-    assert_eq!(hw_counters(&fused), hw_counters(&stepped));
 }
 
 #[test]
 fn calibrated_thresholds_unchanged_under_fusion() {
     for cold in [Placement::L2, Placement::DramOnly] {
         for kind in ProbeKind::ALL {
-            let a = calibrate_with_cold(&mut machine(true), T0, kind, SCRATCH, 16, cold).unwrap();
-            let b = calibrate_with_cold(&mut machine(false), T0, kind, SCRATCH, 16, cold).unwrap();
-            assert_eq!(a, b, "{kind} calibration diverged with cold={cold:?}");
+            let calibrate = |tier| {
+                calibrate_with_cold(&mut machine(tier), T0, kind, SCRATCH, 16, cold).unwrap()
+            };
+            let a = calibrate(Tier::Fast);
+            for tier in PER_STEP {
+                assert_eq!(
+                    a,
+                    calibrate(tier),
+                    "{kind} calibration diverged under {tier:?}, {cold:?}"
+                );
+            }
         }
     }
 }
@@ -120,15 +144,14 @@ fn covert_channel_reports_identical_under_fusion() {
     for spec in
         [ChannelSpec::prime_probe(ProbeKind::Store), ChannelSpec::flush_reload(ProbeKind::Flush)]
     {
-        let mut fused = machine(true);
-        let mut stepped = machine(false);
+        let mut fused = machine(Tier::Fast);
         let a = run_channel(&mut fused, &spec, &payload, true).unwrap();
-        let b = run_channel(&mut stepped, &spec, &payload, true).unwrap();
-        assert_eq!(a, b, "{} diverged under fusion", spec.name());
-        assert!(
-            fused.counters(T0).read(PerfEvent::SimProbeFastPath) > 0,
-            "{}: channel never took the fast path",
-            spec.name()
-        );
+        assert!(fast_path_count(&fused) > 0, "{}: channel never took the fast path", spec.name());
+        for tier in PER_STEP {
+            let mut stepped = machine(tier);
+            let b = run_channel(&mut stepped, &spec, &payload, true).unwrap();
+            assert_eq!(a, b, "{} diverged under {tier:?}", spec.name());
+            assert_eq!(fast_path_count(&stepped), 0, "{}: {tier:?} took a fused path", spec.name());
+        }
     }
 }

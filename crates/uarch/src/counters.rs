@@ -76,7 +76,7 @@ pub enum PerfEvent {
     SimProbeFastPath,
     /// Probe sequences that the fused tier refused (guards tripped:
     /// sibling runnable, tracing/fetch-log enabled, speculation live, or
-    /// fusion disabled) and that fell back to per-step execution.
+    /// a per-step tier) and that fell back to per-step execution.
     SimProbeFallback,
 }
 

@@ -32,7 +32,7 @@ use crate::isa::Instr;
 ///
 /// Operands are pre-converted at decode time (register numbers to masked
 /// `u8` indices, shift amounts to `u32`, `AddImm`'s `i64` through the
-/// wrapping `as u64` cast `exec` performs) so the superblock executor does
+/// wrapping `as u64` cast `execute` performs) so the superblock executor does
 /// no per-retire operand conversion at all.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum MicroOp {

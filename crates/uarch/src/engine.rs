@@ -31,6 +31,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU64;
 
 use crate::addr::Addr;
 use crate::asm::Program;
@@ -259,20 +260,71 @@ pub enum InjectedNext {
     },
 }
 
-/// Default superblock setting: on, unless the `SMACK_SUPERBLOCK`
-/// environment variable is set to `0` (the CI determinism gate runs the
-/// repro both ways and diffs CSVs, exactly like `SMACK_BURST`).
-fn superblocks_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SMACK_SUPERBLOCK").map(|v| v != "0").unwrap_or(true))
+/// Which interpreter an [`Engine`] executes on. Every tier produces
+/// bit-identical architectural state, clocks, counters and experiment
+/// output; they trade only speed. `crates/bench/tests/exec_matrix.rs`
+/// runs the whole quick repro under each and byte-compares the CSVs.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Tier {
+    /// The decoded side table plus every fused path: superblock
+    /// retirement ([`Engine::run_burst`]), fused probes
+    /// ([`Engine::run_fused_probe`]), fused attacker calls
+    /// ([`Engine::run_fused_call`]) and batched idle advances
+    /// ([`Engine::advance_idle`]). The default.
+    Fast,
+    /// The decoded side table, one instruction per step, no fusion of any
+    /// kind.
+    Decoded,
+    /// The original per-step `BTreeMap` interpreter, no fusion: the
+    /// oracle the equivalence tests compare the other tiers against.
+    Reference,
 }
 
-/// Default fused-probe setting: on, unless the `SMACK_FUSED_PROBES`
-/// environment variable is set to `0` (the CI determinism gate runs the
-/// repro both ways and diffs CSVs, exactly like `SMACK_SUPERBLOCK`).
-fn fused_probes_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SMACK_FUSED_PROBES").map(|v| v != "0").unwrap_or(true))
+/// How a machine executes: the interpreter [`Tier`] plus the number of
+/// steps `Machine` hands the engine per [`Engine::run_burst`] call. Pure
+/// mechanics — every value produces bit-identical output (the burst loop
+/// makes the same per-instruction causal decision the machine used to
+/// make, and burst 1 *is* that historical scheduling), so a config only
+/// trades speed. A zero burst is unrepresentable.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct ExecConfig {
+    /// The interpreter tier.
+    pub tier: Tier,
+    /// Steps per engine burst.
+    pub burst: NonZeroU64,
+}
+
+impl ExecConfig {
+    /// What every machine starts with and returns to on reset.
+    pub const DEFAULT: ExecConfig = ExecConfig::new(Tier::Fast, 4096);
+
+    /// The configurations every output must agree across: the default,
+    /// burst 1, and the two per-step tiers. Equivalence tests iterate it
+    /// (plus any extra cases of their own).
+    pub const MATRIX: [ExecConfig; 4] = [
+        ExecConfig::DEFAULT,
+        ExecConfig::new(Tier::Fast, 1),
+        ExecConfig::new(Tier::Decoded, 4096),
+        ExecConfig::new(Tier::Reference, 4096),
+    ];
+
+    /// A config for `tier` with `burst` steps per engine burst.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `burst` is zero.
+    pub const fn new(tier: Tier, burst: u64) -> ExecConfig {
+        match NonZeroU64::new(burst) {
+            Some(burst) => ExecConfig { tier, burst },
+            None => panic!("burst size must be positive"),
+        }
+    }
+}
+
+impl Default for ExecConfig {
+    fn default() -> ExecConfig {
+        ExecConfig::DEFAULT
+    }
 }
 
 /// A probe sequence precompiled for the fused probe tier: the classic
@@ -300,7 +352,7 @@ pub struct CompiledProbe {
 impl CompiledProbe {
     /// Recognize the probe template, or `None` when the sequence must run
     /// per-step. The middle-op whitelist is exactly the set of operations
-    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `exec`.
+    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `execute`.
     pub fn compile(instrs: &[Instr; 5]) -> Option<CompiledProbe> {
         let (t_start, t_end) = match (instrs[0], instrs[1], instrs[3], instrs[4]) {
             (Instr::Mfence, Instr::Rdtsc { dst: a }, Instr::Mfence, Instr::Rdtsc { dst: b }) => {
@@ -349,15 +401,9 @@ pub struct Engine {
     /// step loop chases successor indices through it instead of walking the
     /// program's `BTreeMap` per instruction.
     decoded: DecodedProgram,
-    /// Whether `step` uses the decoded table (default) or the original
-    /// map-lookup reference interpreter (A/B equivalence testing).
-    use_decoded: bool,
-    /// Whether burst execution may retire fused superblocks (default; see
-    /// [`Engine::set_superblocks`]). Requires `use_decoded`.
-    use_superblocks: bool,
-    /// Whether injected probe sequences may retire through the fused probe
-    /// tier (default; see [`Engine::set_fused_probes`]).
-    use_fused_probes: bool,
+    /// The execution config: its tier gates the decoded table and every
+    /// fused path; its burst is read by `Machine`'s scheduling loops.
+    exec: ExecConfig,
     /// Memoized [`Engine::call_shape`] walks — `(target, nops, ret_pc,
     /// ret_idx)`, direct-mapped by a multiply-hash of the target address,
     /// valid while `call_shapes_gen` matches `decode_gen`. Sized for
@@ -415,9 +461,7 @@ impl Engine {
             threads: [Thread::new(), Thread::new()],
             code: Program::default(),
             decoded: DecodedProgram::default(),
-            use_decoded: true,
-            use_superblocks: superblocks_default(),
-            use_fused_probes: fused_probes_default(),
+            exec: ExecConfig::DEFAULT,
             call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
             call_shapes_gen: 0,
             decode_gen: 0,
@@ -452,9 +496,7 @@ impl Engine {
         self.code.clear();
         self.decoded.clear();
         self.decode_gen += 1;
-        self.use_decoded = true;
-        self.use_superblocks = superblocks_default();
-        self.use_fused_probes = fused_probes_default();
+        self.exec = ExecConfig::DEFAULT;
         self.mem.clear();
         self.hier.clear();
         for tlb in self.itlb.iter_mut().chain(self.dtlb.iter_mut()) {
@@ -523,60 +565,19 @@ impl Engine {
         }
     }
 
-    /// Switch between the decoded fast path (the default) and the original
-    /// `BTreeMap` reference interpreter. Both execute the identical `exec`
-    /// body and produce bit-identical architectural state, clocks and
-    /// counters; the reference path exists so equivalence tests and the
-    /// engine throughput benchmark can compare against the pre-decoded
-    /// interpreter. Reset restores the default.
-    pub fn set_decoded_fast_path(&mut self, on: bool) {
-        self.use_decoded = on;
+    /// Switch execution config (see [`ExecConfig`]); output is
+    /// bit-identical under every config. Reset restores
+    /// [`ExecConfig::DEFAULT`].
+    pub fn set_exec(&mut self, exec: ExecConfig) {
+        self.exec = exec;
         for t in &mut self.threads {
             t.pc_idx = NO_IDX;
         }
     }
 
-    /// Whether the decoded fast path is active.
-    pub fn decoded_fast_path(&self) -> bool {
-        self.use_decoded
-    }
-
-    /// Enable or disable superblock retirement inside burst execution (the
-    /// third interpreter tier; requires the decoded fast path). When on,
-    /// [`Engine::run_burst`] and [`Engine::catch_up`] retire maximal
-    /// straight-line runs of fusable instructions in one batched update —
-    /// with guards that make the result bit-identical to per-step
-    /// execution: batching stops at control transfers, at cache-line
-    /// switches' worst-case causal-ordering bounds, and strictly before
-    /// any scheduled noise eviction. Default: on, unless the
-    /// `SMACK_SUPERBLOCK` environment variable is `0`. Reset restores the
-    /// default.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.use_superblocks = on;
-    }
-
-    /// Whether superblock retirement is active.
-    pub fn superblocks(&self) -> bool {
-        self.use_superblocks
-    }
-
-    /// Enable or disable the fused probe tier. When on,
-    /// [`Engine::run_fused_probe`] retires a whole compiled
-    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequence in one
-    /// specialized pass — with guards that make the result bit-identical
-    /// to injecting the five instructions per-step: fusion refuses to run
-    /// (and the caller falls back) whenever either hardware thread is
-    /// runnable, speculation is live, or tracing / fetch logging could
-    /// observe intermediate state. Default: on, unless the
-    /// `SMACK_FUSED_PROBES` environment variable is `0`. Reset restores
-    /// the default.
-    pub fn set_fused_probes(&mut self, on: bool) {
-        self.use_fused_probes = on;
-    }
-
-    /// Whether the fused probe tier is active.
-    pub fn fused_probes(&self) -> bool {
-        self.use_fused_probes
+    /// The current execution config.
+    pub fn exec(&self) -> ExecConfig {
+        self.exec
     }
 
     /// Simulated memory.
@@ -733,7 +734,7 @@ impl Engine {
         // through the decoded side table (zero map lookups in steady state);
         // the reference path repeats the original per-step `BTreeMap` lookup
         // and is kept only for A/B equivalence testing and benchmarking.
-        let (instr, len, line, fall, target_idx) = if self.use_decoded {
+        let (instr, len, line, fall, target_idx) = if self.exec.tier != Tier::Reference {
             let idx = match self.t(tid).pc_idx {
                 NO_IDX => self.decoded.index_of(pc),
                 cached => cached,
@@ -762,7 +763,7 @@ impl Engine {
         if self.t(tid).last_fetch_line != line {
             self.fetch(tid, line);
         }
-        let next = self.exec(tid, &instr, false)?;
+        let next = self.execute(tid, &instr, false)?;
         let t = self.t_mut(tid);
         match next {
             Next::Seq => {
@@ -908,7 +909,7 @@ impl Engine {
     ///   `last_fetch_line` check. Nothing inside the block can evict code
     ///   lines (no probes, and the noise guard below), so per-segment
     ///   fetch outcomes match the per-step schedule exactly.
-    /// * **Noise**: `exec` feeds each instruction's execution cost (never
+    /// * **Noise**: `execute` feeds each instruction's execution cost (never
     ///   fetch cost — `clock0` is taken after fetch) through
     ///   [`NoiseSource::evictions_for`]. The schedule is exactly
     ///   partition-invariant, so one batched call with the block's total
@@ -936,7 +937,7 @@ impl Engine {
         // before every step, and most instructions sit at a control transfer
         // or probe boundary where no fusable run starts. Everything up to the
         // cold call is a handful of loads and compares.
-        if !(self.use_superblocks && self.use_decoded) {
+        if self.exec.tier != Tier::Fast {
             return 0;
         }
         let t = &self.threads[tid.index()];
@@ -1204,7 +1205,7 @@ impl Engine {
             }
             _ => {
                 self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
-                self.exec(tid, instr, true)?;
+                self.execute(tid, instr, true)?;
                 Ok(InjectedNext::Done)
             }
         }
@@ -1218,7 +1219,7 @@ impl Engine {
     /// produced.
     ///
     /// Bit-identical to per-step injection by construction: each of the
-    /// five instructions is replicated from the corresponding `exec` arm
+    /// five instructions is replicated from the corresponding `execute` arm
     /// (same cost formulas, counter bumps, hierarchy calls and noise-draw
     /// order; the equivalence proptests lock this). What fusion saves is
     /// the per-instruction machine/engine round trip — injected-state
@@ -1227,7 +1228,7 @@ impl Engine {
     /// closing `rdtsc`, the five per-instruction `evictions_for` draws,
     /// coalesced into one exact batched draw (see the body).
     ///
-    /// Guards (any one forces fallback): fusion disabled, this thread or
+    /// Guards (any one forces fallback): a per-step [`Tier`], this thread or
     /// the sibling runnable (an interleaved sibling could observe
     /// intermediate hierarchy/clock state), live speculation, tracing, or
     /// fetch logging. There is no pending-SMC state to guard separately:
@@ -1245,7 +1246,7 @@ impl Engine {
         probe: &CompiledProbe,
     ) -> Option<Result<SeqOutcome, StepError>> {
         let sib = tid.sibling();
-        if !self.use_fused_probes
+        if self.exec.tier != Tier::Fast
             || self.t(tid).state == ThreadState::Running
             || self.t(sib).state == ThreadState::Running
             || self.t(tid).spec.is_some()
@@ -1314,14 +1315,14 @@ impl Engine {
     /// Skip `cycles` idle cycles in one batched update — the fused
     /// replacement for injecting `Delay` chunks when nothing else can run.
     /// Returns `false` (caller falls back to per-step chunking) when
-    /// either thread is runnable or fusion is disabled.
+    /// either thread is runnable or the tier is not [`Tier::Fast`].
     ///
     /// Equivalent to the per-step path by construction: `Delay` draws no
     /// `rdtsc` jitter, `evictions_for` is exactly partition-invariant, and
     /// the chunked path retires `ceil(cycles / chunk)` delay instructions
     /// of 200 cycles each with nothing observing state between chunks.
     pub fn advance_idle(&mut self, tid: ThreadId, cycles: u64) -> bool {
-        if !self.use_fused_probes
+        if self.exec.tier != Tier::Fast
             || self.t(tid).state == ThreadState::Running
             || self.t(tid.sibling()).state == ThreadState::Running
         {
@@ -1347,7 +1348,7 @@ impl Engine {
     /// Bit-identical to per-step injection by construction:
     ///
     /// * The injected `Call` itself retires nothing and charges nothing
-    ///   (`exec_injected` returns `EnterCall` before reaching `exec`), and
+    ///   (`exec_injected` returns `EnterCall` before reaching `execute`), and
     ///   the return sentinel push/pop nets out; the thread ends idle with
     ///   `pc`/`pc_idx` parked at the `ret` — the exact per-step end state.
     /// * The callee line is fetched once through the same
@@ -1362,8 +1363,7 @@ impl Engine {
     ///   fetch) on both paths — no mid-block truncation guard needed.
     pub fn run_fused_call(&mut self, tid: ThreadId, target: u64) -> Option<SeqOutcome> {
         let sib = tid.sibling();
-        if !self.use_fused_probes
-            || !self.use_decoded
+        if self.exec.tier != Tier::Fast
             || self.t(tid).state == ThreadState::Running
             || self.t(sib).state == ThreadState::Running
             || self.t(tid).spec.is_some()
@@ -1417,8 +1417,7 @@ impl Engine {
         let sib = tid.sibling();
         if targets.is_empty()
             || targets.len() > CALL_BATCH_MAX
-            || !self.use_fused_probes
-            || !self.use_decoded
+            || self.exec.tier != Tier::Fast
             || self.t(tid).state == ThreadState::Running
             || self.t(sib).state == ThreadState::Running
             || self.t(tid).spec.is_some()
@@ -1507,7 +1506,7 @@ impl Engine {
         Some((nops, ret_pc, ret_idx))
     }
 
-    /// Fused-tier `mfence`: the `exec` arm plus injected-retirement
+    /// Fused-tier `mfence`: the `execute` arm plus injected-retirement
     /// bookkeeping, with the clock/noise epilogue applied via
     /// [`Engine::fused_charge`].
     fn fused_mfence(&mut self, tid: ThreadId, deferred: Option<&mut u64>) {
@@ -1537,10 +1536,10 @@ impl Engine {
     }
 
     /// Fused-tier timed middle operation: each arm replicates the
-    /// non-speculative branch of the corresponding `exec` arm (fusion
+    /// non-speculative branch of the corresponding `execute` arm (fusion
     /// guards guarantee `spec.is_none()`). On error the partial state
     /// (retire counter, dTLB fills) matches per-step execution — the
-    /// clock/noise epilogue is skipped exactly like `exec`'s early return.
+    /// clock/noise epilogue is skipped exactly like `execute`'s early return.
     fn fused_probe_op(
         &mut self,
         tid: ThreadId,
@@ -1645,7 +1644,7 @@ impl Engine {
     }
 
     /// Charge `cost` cycles and apply the per-instruction noise epilogue
-    /// (`exec`'s last four lines). Callers either invoke this once per
+    /// (`execute`'s last four lines). Callers either invoke this once per
     /// instruction (interleaving eviction draws with `rdtsc` jitter draws
     /// in per-step order) or batch several instructions' costs into one
     /// call where that is provably exact: `evictions_for` is partition-
@@ -1921,13 +1920,13 @@ impl Engine {
 
     /// Execute one instruction's semantics and timing on thread `tid`.
     #[allow(clippy::too_many_lines)]
-    // Force-inlined: `exec` has exactly two callers — the hot `step` loop
+    // Force-inlined: `execute` has exactly two callers — the hot `step` loop
     // and the cold injected-sequence path. Left to its own devices the
     // optimizer sees the second caller and outlines this (large) match,
     // costing ~30% steady-state throughput; always-inlining restores the
     // single-caller codegen regardless of what else links in.
     #[inline(always)]
-    fn exec(&mut self, tid: ThreadId, instr: &Instr, injected: bool) -> Result<Next, StepError> {
+    fn execute(&mut self, tid: ThreadId, instr: &Instr, injected: bool) -> Result<Next, StepError> {
         let mut cost: u64 = 1;
         let mut next = Next::Seq;
         let clock0 = self.t(tid).clock;

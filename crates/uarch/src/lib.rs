@@ -59,7 +59,7 @@ pub mod trace;
 pub use addr::{Addr, LINE_SIZE, PAGE_SIZE};
 pub use counters::{CounterBank, CounterSnapshot, PerfEvent};
 pub use decoded::{DecodedInstr, DecodedProgram};
-pub use engine::{CompiledProbe, SeqOutcome, StepError, ThreadId, ThreadState};
+pub use engine::{CompiledProbe, ExecConfig, SeqOutcome, StepError, ThreadId, ThreadState, Tier};
 pub use hierarchy::{Level, Residency};
 pub use machine::{Machine, Placement};
 pub use noise::NoiseConfig;

@@ -12,7 +12,7 @@ use crate::addr::Addr;
 use crate::asm::Program;
 use crate::counters::CounterBank;
 use crate::engine::{
-    CompiledProbe, Engine, InjectedNext, SeqOutcome, StepError, ThreadId, ThreadState,
+    CompiledProbe, Engine, ExecConfig, InjectedNext, SeqOutcome, StepError, ThreadId, ThreadState,
 };
 use crate::hierarchy::Residency;
 use crate::isa::{Instr, Reg};
@@ -64,31 +64,11 @@ impl std::fmt::Display for Placement {
 #[derive(Debug)]
 pub struct Machine {
     engine: Engine,
-    /// Steps handed to the engine per [`Engine::run_burst`] call. Purely a
-    /// scheduling granularity: output is bit-identical for every value
-    /// (the burst loop makes the same per-instruction causal decision the
-    /// machine used to make), so this only trades boundary crossings
-    /// against step-budget check frequency.
-    burst: u64,
 }
 
 /// Default per-run instruction budget: generous, but bounded so that buggy
 /// victims fail loudly instead of hanging the harness.
 const DEFAULT_STEP_BUDGET: u64 = 500_000_000;
-
-/// Default engine burst size: `SMACK_BURST` when set to a positive integer
-/// (the CI determinism gate runs the repro at 1 vs the default and diffs
-/// CSVs), 4096 otherwise.
-fn default_burst() -> u64 {
-    static BURST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *BURST.get_or_init(|| {
-        std::env::var("SMACK_BURST")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or(4096)
-    })
-}
 
 impl Machine {
     /// Create a machine with quiet (deterministic) noise.
@@ -98,69 +78,25 @@ impl Machine {
 
     /// Create a machine with an explicit noise model and seed.
     pub fn with_noise(profile: UarchProfile, noise: NoiseConfig, seed: u64) -> Machine {
-        Machine { engine: Engine::new(profile, noise, seed), burst: default_burst() }
+        Machine { engine: Engine::new(profile, noise, seed) }
     }
 
-    /// Override the engine burst size for this machine (default: the
-    /// `SMACK_BURST` environment variable, else 4096). Any positive value
-    /// produces bit-identical output; see the `burst` field notes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero.
-    pub fn set_burst_steps(&mut self, steps: u64) {
-        assert!(steps > 0, "burst size must be positive");
-        self.burst = steps;
+    /// Switch execution config: interpreter tier and engine burst size
+    /// (see [`ExecConfig`]). Output is bit-identical under every config,
+    /// so this only trades speed; equivalence tests and benchmarks use it.
+    /// Reset restores [`ExecConfig::DEFAULT`].
+    pub fn set_exec(&mut self, exec: ExecConfig) {
+        self.engine.set_exec(exec);
     }
 
-    /// The current engine burst size.
-    pub fn burst_steps(&self) -> u64 {
-        self.burst
+    /// The current execution config.
+    pub fn exec(&self) -> ExecConfig {
+        self.engine.exec()
     }
 
-    /// Switch between the decoded fast path (default) and the original
-    /// map-lookup reference interpreter — see
-    /// [`Engine::set_decoded_fast_path`]. Reset restores the default.
-    pub fn set_decoded_fast_path(&mut self, on: bool) {
-        self.engine.set_decoded_fast_path(on);
-    }
-
-    /// Whether the decoded fast path is active.
-    pub fn decoded_fast_path(&self) -> bool {
-        self.engine.decoded_fast_path()
-    }
-
-    /// Enable or disable superblock execution (batched retirement of fused
-    /// straight-line runs; requires the decoded fast path) — see
-    /// [`Engine::set_superblocks`]. The default comes from the
-    /// `SMACK_SUPERBLOCK` environment variable (`0` = off, anything else =
-    /// on, unset = on), mirroring `SMACK_BURST`; output is bit-identical
-    /// either way, so the toggle exists for the CI determinism gate and
-    /// for benchmarking the per-step path. Reset restores the default.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.engine.set_superblocks(on);
-    }
-
-    /// Whether superblock execution is active.
-    pub fn superblocks(&self) -> bool {
-        self.engine.superblocks()
-    }
-
-    /// Enable or disable the fused probe tier (one-pass retirement of
-    /// compiled `mfence; rdtsc; <op>; mfence; rdtsc` probe sequences and
-    /// batched idle advances) — see [`Engine::set_fused_probes`]. The
-    /// default comes from the `SMACK_FUSED_PROBES` environment variable
-    /// (`0` = off, anything else = on, unset = on), mirroring
-    /// `SMACK_SUPERBLOCK`; output is bit-identical either way, so the
-    /// toggle exists for the CI determinism gate and for benchmarking the
-    /// per-step probe path. Reset restores the default.
-    pub fn set_fused_probes(&mut self, on: bool) {
-        self.engine.set_fused_probes(on);
-    }
-
-    /// Whether the fused probe tier is active.
-    pub fn fused_probes(&self) -> bool {
-        self.engine.fused_probes()
+    /// Steps handed to the engine per burst.
+    fn burst(&self) -> u64 {
+        self.engine.exec().burst.get()
     }
 
     /// The microarchitecture profile.
@@ -170,9 +106,9 @@ impl Machine {
 
     /// Restore this machine to the cold power-on state — cold caches, TLBs
     /// and branch predictor, reset counters and clocks, no loaded code,
-    /// zeroed memory — and reseed the noise source, reusing the existing
-    /// allocations instead of rebuilding the hierarchy. A reset machine is
-    /// behaviorally indistinguishable from
+    /// zeroed memory, [`ExecConfig::DEFAULT`] — and reseed the noise
+    /// source, reusing the existing allocations instead of rebuilding the
+    /// hierarchy. A reset machine is behaviorally indistinguishable from
     /// `Machine::with_noise(profile, noise, seed)`: for the same seed and
     /// workload it produces bit-identical timings, traces and reports.
     pub fn reset(&mut self, noise: NoiseConfig, seed: u64) {
@@ -364,7 +300,7 @@ impl Machine {
             if steps >= max_steps {
                 return Err(StepError::StepLimit);
             }
-            let burst = self.burst.min(max_steps - steps);
+            let burst = self.burst().min(max_steps - steps);
             steps += self.engine.run_burst(tid, burst)?;
         }
         Ok(self.engine.clock(tid) - start)
@@ -522,7 +458,7 @@ impl Machine {
             if steps >= DEFAULT_STEP_BUDGET {
                 return Err(StepError::StepLimit);
             }
-            let burst = self.burst.min(DEFAULT_STEP_BUDGET - steps);
+            let burst = self.burst().min(DEFAULT_STEP_BUDGET - steps);
             steps += self.engine.run_burst(tid, burst)?;
         }
         Ok(())
@@ -533,7 +469,7 @@ impl Machine {
         let sib = tid.sibling();
         let mut guard = 0u64;
         loop {
-            let burst = self.burst.min(DEFAULT_STEP_BUDGET - guard);
+            let burst = self.burst().min(DEFAULT_STEP_BUDGET - guard);
             guard += self.engine.catch_up(tid, burst)?;
             let behind = self.engine.state(sib) == ThreadState::Running
                 && self.engine.clock(sib) < self.engine.clock(tid);
@@ -696,9 +632,9 @@ mod tests {
             a.add_imm(Reg::R0, imm).ret();
             a.assemble().unwrap()
         };
-        let run = |decoded: bool| -> u64 {
+        let run = |exec: ExecConfig| -> u64 {
             let mut m = cl();
-            m.set_decoded_fast_path(decoded);
+            m.set_exec(exec);
             m.load_program(&routine(1));
             for i in 0..6 {
                 if i == 3 {
@@ -708,8 +644,9 @@ mod tests {
             }
             m.reg(T0, Reg::R0)
         };
-        assert_eq!(run(true), 3 + 30);
-        assert_eq!(run(false), 3 + 30);
+        for exec in ExecConfig::MATRIX {
+            assert_eq!(run(exec), 3 + 30, "{exec:?}");
+        }
     }
 
     #[test]

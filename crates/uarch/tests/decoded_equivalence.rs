@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ThreadId};
+use smack_uarch::{ExecConfig, Machine, MicroArch, NoiseConfig, ThreadId, Tier};
 
 const T0: ThreadId = ThreadId::T0;
 const T1: ThreadId = ThreadId::T1;
@@ -160,32 +160,21 @@ struct Outcome {
     data: Vec<u8>,
 }
 
-/// Interpreter configuration for one equivalence run. `superblocks`
-/// implies nothing unless `decoded` is set (the engine gates fusion on
-/// the decoded table), so (false, true) is normalized to plain reference.
-#[derive(Copy, Clone, Debug)]
-struct Cfg {
-    decoded: bool,
-    superblocks: bool,
-    burst: u64,
-}
+/// The oracle every other configuration is compared against.
+const REFERENCE: ExecConfig = ExecConfig::new(Tier::Reference, 4096);
 
-const REFERENCE: Cfg = Cfg { decoded: false, superblocks: false, burst: 4096 };
-
-fn machine(cfg: Cfg, noise_seed: Option<u64>) -> Machine {
+fn machine(cfg: ExecConfig, noise_seed: Option<u64>) -> Machine {
     let profile = MicroArch::CascadeLake.profile();
     let mut m = match noise_seed {
         Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
         None => Machine::new(profile),
     };
-    m.set_decoded_fast_path(cfg.decoded);
-    m.set_superblocks(cfg.superblocks);
-    m.set_burst_steps(cfg.burst);
+    m.set_exec(cfg);
     m
 }
 
 /// Run `prog` to completion under the given interpreter configuration.
-fn run(prog: &Program, cfg: Cfg, noise_seed: Option<u64>) -> Outcome {
+fn run(prog: &Program, cfg: ExecConfig, noise_seed: Option<u64>) -> Outcome {
     let mut m = machine(cfg, noise_seed);
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
@@ -222,7 +211,7 @@ fn helper_patch(kind: u8) -> Program {
 
 /// Run `prog`, apply `patch` after `at_step` engine steps (mid-run
 /// self-modification), and run to completion.
-fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: Cfg) -> Outcome {
+fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: ExecConfig) -> Outcome {
     let mut m = machine(cfg, None);
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
@@ -239,15 +228,15 @@ fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: Cfg) -> Ou
     }
 }
 
-/// The non-reference configurations every proptest checks: superblocks
-/// across burst sizes, the per-step decoded path, and reference at
+/// The non-reference configurations every proptest checks: the fast
+/// tier across burst sizes, the per-step decoded tier, and reference at
 /// burst 1.
-const CONFIGS: [Cfg; 5] = [
-    Cfg { decoded: true, superblocks: true, burst: 4096 },
-    Cfg { decoded: true, superblocks: true, burst: 1 },
-    Cfg { decoded: true, superblocks: true, burst: 7 },
-    Cfg { decoded: true, superblocks: false, burst: 4096 },
-    Cfg { decoded: false, superblocks: false, burst: 1 },
+const CONFIGS: [ExecConfig; 5] = [
+    ExecConfig::DEFAULT,
+    ExecConfig::new(Tier::Fast, 1),
+    ExecConfig::new(Tier::Fast, 7),
+    ExecConfig::new(Tier::Decoded, 4096),
+    ExecConfig::new(Tier::Reference, 1),
 ];
 
 proptest! {
@@ -431,7 +420,7 @@ mod fused_probes {
     fn run_actions(
         actions: &[Action],
         oracle_kind: u8,
-        fused: bool,
+        tier: Tier,
         noise_seed: Option<u64>,
     ) -> (ProbeOutcome, u64, u64, u64) {
         let profile = MicroArch::CascadeLake.profile();
@@ -439,7 +428,7 @@ mod fused_probes {
             Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
             None => Machine::new(profile),
         };
-        m.set_fused_probes(fused);
+        m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
         m.load_program(&oracle(oracle_kind));
         m.warm_tlb(T0, Addr(TARGET));
         m.set_reg(T0, Reg::R13, TARGET);
@@ -513,16 +502,18 @@ mod fused_probes {
             actions in proptest::collection::vec(action_strategy(), 1..40),
             oracle_kind in 0u8..3,
         ) {
-            let (reference, ref_fast, ref_fb, attempts) =
-                run_actions(&actions, oracle_kind, false, None);
-            let (fused, fused_fast, fused_fb, _) =
-                run_actions(&actions, oracle_kind, true, None);
-            prop_assert_eq!(&fused, &reference, "fused probes diverged");
-            // With fusion off nothing fuses, and every attempt (probe or
-            // call) is refused up front, so it counts as a fallback even if
-            // the per-step execution then errors.
-            prop_assert_eq!(ref_fast, 0);
-            prop_assert_eq!(ref_fb, attempts, "every attempt refused per-step");
+            let (fused, fused_fast, fused_fb, attempts) =
+                run_actions(&actions, oracle_kind, Tier::Fast, None);
+            for tier in [Tier::Decoded, Tier::Reference] {
+                let (reference, ref_fast, ref_fb, _) =
+                    run_actions(&actions, oracle_kind, tier, None);
+                prop_assert_eq!(&fused, &reference, "fused probes diverged from {:?}", tier);
+                // On a per-step tier nothing fuses, and every attempt (probe
+                // or call) is refused up front, so it counts as a fallback
+                // even if the per-step execution then errors.
+                prop_assert_eq!(ref_fast, 0);
+                prop_assert_eq!(ref_fb, attempts, "every attempt refused per-step");
+            }
             // With fusion on (both threads idle, no tracing) probes always
             // fuse; only calls may fall back — and only when the routine's
             // shape is not `nop*; ret` on one line. Every attempt bumps
@@ -555,10 +546,12 @@ mod fused_probes {
             oracle_kind in 0u8..3,
             seed in any::<u64>(),
         ) {
-            let (reference, _, _, attempts) = run_actions(&actions, oracle_kind, false, Some(seed));
-            let (fused, fused_fast, fused_fb, _) =
-                run_actions(&actions, oracle_kind, true, Some(seed));
-            prop_assert_eq!(&fused, &reference, "fused probes diverged under noise");
+            let (fused, fused_fast, fused_fb, attempts) =
+                run_actions(&actions, oracle_kind, Tier::Fast, Some(seed));
+            for tier in [Tier::Decoded, Tier::Reference] {
+                let (reference, ..) = run_actions(&actions, oracle_kind, tier, Some(seed));
+                prop_assert_eq!(&fused, &reference, "fused probes diverged from {:?} under noise", tier);
+            }
             let done = attempts - u64::from(fused.err.is_some());
             prop_assert!(
                 fused_fast + fused_fb >= done && fused_fast + fused_fb <= attempts,
@@ -664,51 +657,23 @@ fn dual_thread_decoded_matches_reference() {
         .halt();
     let driver = b.assemble().unwrap();
 
-    let mut outcomes = Vec::new();
-    for (decoded, superblocks, burst) in [
-        (false, false, 4096),
-        (true, true, 4096),
-        (true, true, 1),
-        (true, true, 64),
-        (true, false, 4096),
-    ] {
+    let run = |exec: ExecConfig| {
         let mut m = Machine::new(MicroArch::CascadeLake.profile());
-        m.set_decoded_fast_path(decoded);
-        m.set_superblocks(superblocks);
-        m.set_burst_steps(burst);
+        m.set_exec(exec);
         m.load_program(&victim);
         m.load_program(&driver);
         m.start_program(T1, victim.entry(), &[]);
         m.start_program(T0, driver.entry(), &[]);
         m.run_until_halt(T0, 1_000_000).unwrap();
         m.run_until_halt(T1, 1_000_000).unwrap();
-        outcomes.push((
-            (decoded, superblocks),
-            burst,
-            m.reg(T0, Reg::R1),
-            m.reg(T0, Reg::R2),
-            m.reg(T1, Reg::R0),
-            m.clock(T0),
-            m.clock(T1),
-            m.counters(T0).snapshot(),
-            m.counters(T1).snapshot(),
-        ));
-    }
-    for o in &outcomes[1..] {
-        assert_eq!(
-            (&o.2, &o.3, &o.4, &o.5, &o.6, &o.7, &o.8),
-            (
-                &outcomes[0].2,
-                &outcomes[0].3,
-                &outcomes[0].4,
-                &outcomes[0].5,
-                &outcomes[0].6,
-                &outcomes[0].7,
-                &outcomes[0].8
-            ),
-            "config (decoded, superblocks)={:?}, burst={} diverged from reference",
-            o.0,
-            o.1
-        );
+        (
+            [m.reg(T0, Reg::R1), m.reg(T0, Reg::R2), m.reg(T1, Reg::R0)],
+            [m.clock(T0), m.clock(T1)],
+            [m.counters(T0).snapshot(), m.counters(T1).snapshot()],
+        )
+    };
+    let reference = run(REFERENCE);
+    for exec in ExecConfig::MATRIX.into_iter().chain([ExecConfig::new(Tier::Fast, 64)]) {
+        assert_eq!(run(exec), reference, "{exec:?} diverged from reference");
     }
 }
