@@ -1,22 +1,25 @@
 //! Criterion benches over the experiment building blocks — one per paper
 //! artifact family — so attack-layer performance regressions surface. The
 //! printing harnesses live in `src/bin/`; these bench the underlying
-//! (quiet) pipelines.
+//! pipelines on the path the harnesses use: one session registry, so
+//! machines come from its pool and thresholds from its calibration cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::channel::{random_payload, run_channel, ChannelSpec};
+use smack::channel::{random_payload, run_channel_in, ChannelSpec};
 use smack::characterize::{figure1, figure2};
-use smack::ispectre::{leak_secret, ISpectreConfig};
+use smack::ispectre::{leak_secret_in, ISpectreConfig};
 use smack::rsa::{self, RsaAttackConfig};
 use smack::srp::{self, SrpAttackConfig};
+use smack::{Scenario, Sessions};
 use smack_crypto::Bignum;
 use smack_uarch::{Machine, MicroArch, ProbeKind, ThreadId};
 
 fn bench_experiments(c: &mut Criterion) {
     let mut g = c.benchmark_group("experiments");
     g.sample_size(10);
+    let sessions = Sessions::new();
 
     // Figure 1 family: the timing characterization sweep.
     g.bench_function("fig1_characterization", |b| {
@@ -36,12 +39,10 @@ fn bench_experiments(c: &mut Criterion) {
 
     // Table 1 / Figure 3 family: a covert-channel transmission.
     let payload = random_payload(64, 3);
+    let spec = ChannelSpec::flush_reload(ProbeKind::Flush);
+    let scenario = Scenario::new(MicroArch::CascadeLake);
     g.bench_function("table1_channel_64bits", |b| {
-        b.iter(|| {
-            let mut m = Machine::new(MicroArch::CascadeLake.profile());
-            run_channel(&mut m, &ChannelSpec::flush_reload(ProbeKind::Flush), &payload, false)
-                .unwrap()
-        })
+        b.iter(|| run_channel_in(&mut sessions.session(&scenario), &spec, &payload, false).unwrap())
     });
 
     // Figures 4-5 family: one RSA attack trace + decode.
@@ -49,9 +50,11 @@ fn bench_experiments(c: &mut Criterion) {
     let exp = Bignum::random_bits(&mut rng, 96);
     let rsa_cfg = RsaAttackConfig::new(ProbeKind::Flush);
     let victim = rsa::build_victim(&rsa_cfg);
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(rsa_cfg.noise).with_seed(9);
     g.bench_function("fig5_rsa_trace_96b", |b| {
         b.iter(|| {
-            let t = rsa::collect_trace(MicroArch::TigerLake, &victim, &exp, &rsa_cfg, 9).unwrap();
+            let mut session = sessions.session(&scenario);
+            let t = rsa::collect_trace_in(&mut session, &victim, &exp, &rsa_cfg).unwrap();
             rsa::decode_trace(&t, exp.bit_len())
         })
     });
@@ -59,12 +62,20 @@ fn bench_experiments(c: &mut Criterion) {
     // Table 2 / Figure 6 family: one SRP single-trace attack.
     let srp_b = Bignum::random_bits(&mut rng, 96);
     let srp_cfg = SrpAttackConfig::new(2048);
-    g.bench_function("table2_srp_trace_96b", |b| b.iter(|| single_trace(&srp_b, &srp_cfg)));
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(srp_cfg.noise).with_seed(7);
+    g.bench_function("table2_srp_trace_96b", |b| {
+        b.iter(|| {
+            let mut session = sessions.session(&scenario);
+            srp::single_trace_attack_in(&mut session, &srp_b, &srp_cfg).unwrap().leakage
+        })
+    });
 
     // Tables 3-4 family: one ISpectre byte.
     let spectre_cfg = ISpectreConfig::new(ProbeKind::Store);
+    let scenario =
+        Scenario::new(MicroArch::CascadeLake).with_noise(spectre_cfg.noise).with_seed(12);
     g.bench_function("table4_ispectre_byte", |b| {
-        b.iter(|| leak_secret(MicroArch::CascadeLake, b"A", &spectre_cfg, 12).unwrap())
+        b.iter(|| leak_secret_in(&mut sessions.session(&scenario), b"A", &spectre_cfg).unwrap())
     });
 
     // Section 6.1 family: one detection window pair.
@@ -86,10 +97,6 @@ fn bench_experiments(c: &mut Criterion) {
     });
 
     g.finish();
-}
-
-fn single_trace(b: &Bignum, cfg: &SrpAttackConfig) -> f64 {
-    srp::single_trace_attack(MicroArch::TigerLake, b, cfg, 7).unwrap().leakage
 }
 
 criterion_group!(benches, bench_experiments);

@@ -23,10 +23,10 @@
 //! * `--tau-jitter N` — jitter the fig5/table2 exposure window by ±N
 //!   cycles per trace (default 0, the fixed historical window).
 //!
-//! The persistent calibration cache lives at `SMACK_CALIB_DIR` when set,
-//! else `<out>/calib/`; every process attaches it, so a shard started
-//! after another has warmed the cache loads calibrations instead of
-//! recomputing them.
+//! Calibrations live in the process-wide in-memory cache of
+//! [`Sessions::global`]: each is computed once per process and key, and
+//! the closing `[calib]` line reports how many lookups it served and how
+//! many it computed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -159,14 +159,6 @@ fn print_list() {
     t.print();
 }
 
-/// The calibration-cache directory for this run: `SMACK_CALIB_DIR` when
-/// set, else `<out root>/calib`.
-fn calib_dir(out_root: &std::path::Path) -> PathBuf {
-    std::env::var_os("SMACK_CALIB_DIR")
-        .filter(|v| !v.is_empty())
-        .map_or_else(|| out_root.join("calib"), PathBuf::from)
-}
-
 /// Merge previously written shard directories (`--merge DIR..`).
 fn run_merge(dirs: &[String], out_root: &std::path::Path) -> Result<(), String> {
     if dirs.len() < 2 {
@@ -216,11 +208,6 @@ fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
     if let Err(e) = std::fs::create_dir_all(&out_root) {
         eprintln!("warning: could not create {}: {e}", out_root.display());
     }
-    // Persistent calibration cache: attach before the first experiment so
-    // every calibration this process computes is written through, and
-    // everything an earlier process computed is loaded instead.
-    Sessions::global().attach_disk_cache(calib_dir(&out_root));
-
     let spec =
         RunSpec { mode: args.mode, runner, out_dir: args.out.clone(), tau_jitter: args.tau_jitter };
     let times = registry::run_selection(&selection, &spec);
@@ -240,13 +227,7 @@ fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
         table.print();
     }
     let cal = Sessions::global().calibrations();
-    println!(
-        "[calib] {} in-memory hits, {} disk hits, {} computed ({})",
-        cal.hits(),
-        cal.disk_hits(),
-        cal.misses(),
-        cal.disk_dir().map_or_else(|| "no disk cache".to_owned(), |d| d.display().to_string())
-    );
+    println!("[calib] {} in-memory hits, {} computed", cal.hits(), cal.misses());
     Ok(())
 }
 

@@ -13,9 +13,7 @@
 //! each trial closure receives a pooled [`Session`](smack::Session):
 //! machine construction is amortized across trials and a probe threshold
 //! is calibrated at most once per
-//! `(profile, probe class, cold placement, noise)` for the whole process
-//! (and, with the persistent calibration cache attached, for the whole
-//! sharded campaign).
+//! `(profile, probe class, cold placement, noise)` for the whole process.
 //!
 //! Sharding happens at *unit* granularity — a probe class for [`fig5`],
 //! an SRP group for [`table2`], a (processor, probe) cell for [`table4`],
@@ -607,12 +605,14 @@ pub fn table3(ctx: &Ctx) -> Vec<(MicroArch, Vec<Applicability>)> {
     let spec_for = |i: usize| -> Scenario {
         Scenario::new(MicroArch::ALL[i]).with_noise(NoiseConfig::realistic()).with_seed(0x7ab3)
     };
-    let columns = ctx.runner().run_scenarios(spec_for, MicroArch::ALL.len(), |session, _| {
+    let columns = ctx.runner().run_scenarios(spec_for, MicroArch::ALL.len(), |session, i| {
         ProbeKind::ALL
             .iter()
             .map(|kind| {
                 session.renew(0x7ab3);
-                applicability_in(session, *kind).unwrap_or(Applicability::NoLeak)
+                applicability_in(session, *kind).unwrap_or_else(|e| {
+                    panic!("table3 cell {} / {kind} failed: {e}", MicroArch::ALL[i].name())
+                })
             })
             .collect::<Vec<Applicability>>()
     });

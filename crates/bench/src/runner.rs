@@ -12,9 +12,8 @@
 //! [`Session`] checked out from the runner's [`Sessions`] registry (the
 //! process-wide [`Sessions::global`] unless [`Runner::with_sessions`]
 //! names another) — a pooled machine in the scenario's exact cold start
-//! state plus the shared calibration cache — instead of constructing
-//! `Machine`s and calibrating inline. Machine reuse and cached calibrations are
-//! unobservable to the trials (a reset machine is bit-identical to a
+//! state plus the shared calibration cache. Machine reuse and cached
+//! calibrations are unobservable to the trials (a reset machine is bit-identical to a
 //! fresh one, and calibrations are pure functions of their cache key), so
 //! the parallel-equals-sequential guarantee carries over unchanged.
 //!

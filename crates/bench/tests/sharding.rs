@@ -120,20 +120,18 @@ fn shard_unit_slices_partition_every_experiment() {
     }
 }
 
-/// Run the `all` binary with `args`, sharing the calibration cache
-/// `calib`, and return its captured output.
-fn all(args: &[&str], calib: &Path) -> Output {
+/// Run the `all` binary with `args` and return its captured output.
+fn all(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_all"))
         .args(args)
-        .env("SMACK_CALIB_DIR", calib)
         .env_remove("SMACK_BENCH_THREADS")
         .output()
         .expect("spawning the all binary")
 }
 
 /// Like [`all`], but the run must succeed; returns its stdout.
-fn all_ok(args: &[&str], calib: &Path) -> String {
-    let out = all(args, calib);
+fn all_ok(args: &[&str]) -> String {
+    let out = all(args);
     assert!(
         out.status.success(),
         "all {args:?} failed ({}): {}",
@@ -143,39 +141,26 @@ fn all_ok(args: &[&str], calib: &Path) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
-/// The disk-hit count from the `[calib] A in-memory hits, B disk hits,
-/// ...` summary line.
-fn disk_hits(stdout: &str) -> usize {
-    let line = stdout.lines().find(|l| l.starts_with("[calib]")).expect("[calib] summary line");
-    let (before, _) = line.split_once(" disk hits").expect("disk hits field");
-    before.rsplit(' ').next().unwrap().parse().expect("disk hit count")
-}
-
 #[test]
-fn all_binary_sequential_shards_share_calibrations_and_merge_bit_identical() {
-    // Two shard processes run one after the other against one
-    // SMACK_CALIB_DIR (as on hosts sharing or copying the cache), then a
-    // third process merges them: the second shard must load what the
-    // first calibrated, and the merge must match a solo run byte for byte.
-    // (table2's SRP groups share a calibration key across the two shards;
-    // fig5's and table4's shard slices need disjoint keys.)
+fn all_binary_sequential_shards_merge_bit_identical() {
+    // Two shard processes run one after the other, each calibrating for
+    // itself, then a third process merges them: the merge must match a
+    // solo run byte for byte. (table2's SRP groups share a calibration
+    // key across the two shards; fig5's and table4's shard slices need
+    // disjoint keys.)
     let root = scratch("binary");
     let dir = |name: &str| root.join(name).to_string_lossy().into_owned();
     let names = ["fig5", "table2", "table4"];
 
-    all_ok(&[&names[..], &["--threads=2", "--out", &dir("solo")]].concat(), &root.join("calib0"));
+    all_ok(&[&names[..], &["--threads=2", "--out", &dir("solo")]].concat());
+    assert!(!root.join("solo").join("calib").exists(), "a run persists no calibrations");
 
-    let calib = root.join("calib");
     for k in 1..=2 {
         let (shard, out) = (format!("--shard={k}/2"), dir(&format!("s{k}")));
-        let args = [&names[..], &["--threads=2", &shard, "--out", &out]].concat();
-        let stdout = all_ok(&args, &calib);
-        if k == 2 {
-            assert!(disk_hits(&stdout) > 0, "second shard must reuse the cache:\n{stdout}");
-        }
+        all_ok(&[&names[..], &["--threads=2", &shard, "--out", &out]].concat());
     }
 
-    all_ok(&["--merge", &dir("s1"), &dir("s2"), "--out", &dir("merged")], &calib);
+    all_ok(&["--merge", &dir("s1"), &dir("s2"), "--out", &dir("merged")]);
     for name in names {
         let file = format!("{name}.csv");
         let solo = fs::read(root.join("solo").join(&file)).expect("solo CSV");
@@ -188,23 +173,21 @@ fn all_binary_sequential_shards_share_calibrations_and_merge_bit_identical() {
 #[test]
 fn all_binary_names_missing_shard_dirs_and_bad_thread_counts() {
     let root = scratch("binary-errors");
-    let calib = root.join("calib");
 
     // A shard that owns no units still leaves its (empty) output
     // directory behind, so it merges cleanly; a mistyped one does not.
     let empty = root.join("empty").to_string_lossy().into_owned();
-    all_ok(&["fig1", "--shard", "2/2", "--out", &empty], &calib);
+    all_ok(&["fig1", "--shard", "2/2", "--out", &empty]);
     assert!(Path::new(&empty).is_dir(), "zero-unit shard must create --out");
     let typo = root.join("typo").to_string_lossy().into_owned();
     let merged = root.join("merged").to_string_lossy().into_owned();
-    let out = all(&["--merge", &empty, &typo, "--out", &merged], &calib);
+    let out = all(&["--merge", &empty, &typo, "--out", &merged]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "merging a missing directory must fail");
     assert!(stderr.contains(&typo), "error must name the missing directory: {stderr}");
 
     let out = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(["fig1", "--out", &empty])
-        .env("SMACK_CALIB_DIR", &calib)
         .env("SMACK_BENCH_THREADS", "abc")
         .output()
         .expect("spawning the all binary");

@@ -36,7 +36,7 @@ pub mod session;
 pub mod srp;
 
 pub use calibrate::{calibrate, calibrate_with_cold, CalibratedProbe};
-pub use channel::{run_channel, ChannelFamily, ChannelReport, ChannelSpec};
+pub use channel::{ChannelFamily, ChannelReport, ChannelSpec};
 pub use oracle::{EvictionSet, OraclePage};
 pub use probe::Prober;
 pub use session::{CalibrationCache, Scenario, Session, Sessions};

@@ -17,10 +17,10 @@
 
 use smack_crypto::modexp::SlidingWindowSchedule;
 use smack_crypto::{Bignum, WindowSizing};
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind, ThreadId};
+use smack_uarch::{Machine, NoiseConfig, Placement, ProbeKind, ThreadId};
 use smack_victims::modexp::{ModexpAlgorithm, ModexpVictim, ModexpVictimBuilder};
 
-use crate::calibrate::{calibrate, CalibratedProbe};
+use crate::calibrate::CalibratedProbe;
 use crate::oracle::EvictionSet;
 use crate::probe::Prober;
 use crate::session::Session;
@@ -28,7 +28,6 @@ use crate::session::Session;
 const ATTACKER: ThreadId = ThreadId::T0;
 const VICTIM: ThreadId = ThreadId::T1;
 const EVSET_BASE: u64 = 0x0a20_0000;
-const SCRATCH: u64 = 0x0d20_0000;
 
 /// SRP attack configuration.
 #[derive(Copy, Clone, Debug)]
@@ -109,28 +108,16 @@ where
     Ok(out)
 }
 
-/// The standard SMC sampler: installs an eviction set over the victim's
-/// multiply set and returns a closure running one prime → τ_w → probe
-/// round.
-///
-/// # Errors
-///
-/// Returns a message when setup fails (e.g. unsupported probe class).
-pub fn smc_sampler(
+/// The SMC sampler: installs an eviction set over the victim's multiply
+/// set and returns a closure running one prime → τ_w → probe round,
+/// classified against the calibrated threshold `cal`.
+fn smc_sampler(
     machine: &mut Machine,
     victim: &ModexpVictim,
     cfg: &SrpAttackConfig,
-) -> Result<impl FnMut(&mut Machine) -> Result<bool, String>, String> {
-    smc_sampler_inner(machine, victim, cfg, None, 0)
-}
-
-fn smc_sampler_inner(
-    machine: &mut Machine,
-    victim: &ModexpVictim,
-    cfg: &SrpAttackConfig,
-    cal_override: Option<CalibratedProbe>,
+    cal: CalibratedProbe,
     seed: u64,
-) -> Result<impl FnMut(&mut Machine) -> Result<bool, String>, String> {
+) -> impl FnMut(&mut Machine) -> Result<bool, String> {
     machine.set_noise(cfg.noise);
     machine.load_program(&victim.program);
     let ev = EvictionSet::for_machine(machine, EVSET_BASE, victim.mul_set);
@@ -138,21 +125,16 @@ fn smc_sampler_inner(
     for w in ev.ways() {
         machine.warm_tlb(ATTACKER, *w);
     }
-    let cal = match cal_override {
-        Some(cal) => cal,
-        None => calibrate(machine, ATTACKER, cfg.kind, smack_uarch::Addr(SCRATCH), 12)
-            .map_err(|e| e.to_string())?,
-    };
     let kind = cfg.kind;
     let wait = crate::probe::jittered_wait(cfg.wait_cycles, cfg.wait_jitter, seed);
     let ways = cfg.probe_ways;
     let mut prober = Prober::new(ATTACKER);
-    Ok(move |m: &mut Machine| -> Result<bool, String> {
+    move |m: &mut Machine| -> Result<bool, String> {
         ev.prime(m, &mut prober).map_err(|e| e.to_string())?;
         prober.wait(m, wait).map_err(|e| e.to_string())?;
         let timings = ev.probe_first(m, &mut prober, kind, ways).map_err(|e| e.to_string())?;
         Ok(timings.iter().any(|t| !cal.is_hit(*t)))
-    })
+    }
 }
 
 /// Multiply-cluster start times: bursts are clustered exactly as in
@@ -283,27 +265,10 @@ pub struct SrpAttackOutcome {
     pub samples: Vec<(u64, bool)>,
 }
 
-/// Run the full single-trace attack with the SMC sampler, building (and
-/// calibrating on) a fresh machine — the standalone path; session-driven
-/// harnesses use [`single_trace_attack_in`].
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn single_trace_attack(
-    arch: MicroArch,
-    b: &Bignum,
-    cfg: &SrpAttackConfig,
-    seed: u64,
-) -> Result<SrpAttackOutcome, String> {
-    let mut machine = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    single_trace_attack_on(&mut machine, b, cfg, None, seed)
-}
-
-/// Run the full single-trace attack inside a [`Session`]: the machine
-/// comes from the pool (in its cold start state) and the probe threshold
-/// from the calibration cache. The session's noise model should match
-/// `cfg.noise`.
+/// Run the full single-trace attack with the SMC sampler inside a
+/// [`Session`]: the machine comes from the pool (in its cold start state)
+/// and the probe threshold from the calibration cache. The session's
+/// noise model must match `cfg.noise`.
 ///
 /// # Errors
 ///
@@ -314,21 +279,11 @@ pub fn single_trace_attack_in(
     cfg: &SrpAttackConfig,
 ) -> Result<SrpAttackOutcome, String> {
     session.require_noise(cfg.noise)?;
-    let cal =
-        session.calibrated(cfg.kind, smack_uarch::Placement::L2).map_err(|e| e.to_string())?;
+    let cal = session.calibrated(cfg.kind, Placement::L2).map_err(|e| e.to_string())?;
     let seed = session.scenario().seed();
-    single_trace_attack_on(session.machine(), b, cfg, Some(cal), seed)
-}
-
-fn single_trace_attack_on(
-    machine: &mut Machine,
-    b: &Bignum,
-    cfg: &SrpAttackConfig,
-    cal_override: Option<CalibratedProbe>,
-    seed: u64,
-) -> Result<SrpAttackOutcome, String> {
+    let machine = session.machine();
     let victim = build_victim(cfg.group_bits, b.bit_len());
-    let sampler = smc_sampler_inner(machine, &victim, cfg, cal_override, seed)?;
+    let sampler = smc_sampler(machine, &victim, cfg, cal, seed);
     let max_samples = cfg.group_bits * 60 + 10_000;
     let samples = collect_events(machine, &victim, b, sampler, max_samples)?;
     let events = event_times(&samples);
@@ -346,9 +301,11 @@ fn single_trace_attack_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Scenario, Sessions};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use smack_crypto::modexp::sliding_window_schedule;
+    use smack_uarch::MicroArch;
 
     #[test]
     fn truth_spans_cover_the_exponent() {
@@ -415,7 +372,10 @@ mod tests {
         // (the paper reports 83% at this size).
         let b = Bignum::random_bits(&mut rng, 160);
         let cfg = SrpAttackConfig { noise: NoiseConfig::quiet(), ..SrpAttackConfig::new(4096) };
-        let out = single_trace_attack(MicroArch::TigerLake, &b, &cfg, 3).expect("attack runs");
+        let sessions = Sessions::new();
+        let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(3);
+        let out = single_trace_attack_in(&mut sessions.session(&scenario), &b, &cfg)
+            .expect("attack runs");
         assert!(out.leakage > 0.5, "leakage {}", out.leakage);
         assert!(out.events > 10);
     }

@@ -3,8 +3,11 @@
 //! covert-channel transmissions must be bit-identical whether probe
 //! sequences retire through the fused engine pass ([`Tier::Fast`]) or
 //! per-step injection (both per-step tiers, which must never fuse).
+//! Channels run in sessions from [`Sessions::with_exec`], which puts the
+//! calibration machine on the same tier as the trial machine.
 
-use smack::{calibrate_with_cold, run_channel, ChannelSpec, Prober};
+use smack::channel::run_channel_in;
+use smack::{calibrate_with_cold, ChannelSpec, Prober, Scenario, Sessions};
 use smack_uarch::{
     Addr, ExecConfig, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
     Tier,
@@ -144,14 +147,19 @@ fn covert_channel_reports_identical_under_fusion() {
     for spec in
         [ChannelSpec::prime_probe(ProbeKind::Store), ChannelSpec::flush_reload(ProbeKind::Flush)]
     {
-        let mut fused = machine(Tier::Fast);
-        let a = run_channel(&mut fused, &spec, &payload, true).unwrap();
-        assert!(fast_path_count(&fused) > 0, "{}: channel never took the fast path", spec.name());
+        // The report plus the trial machine's fused-probe count.
+        let transmit = |tier| {
+            let sessions = Sessions::with_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
+            let mut session = sessions.session(&Scenario::new(MicroArch::CascadeLake));
+            let report = run_channel_in(&mut session, &spec, &payload, true).unwrap();
+            (report, fast_path_count(session.machine()))
+        };
+        let (a, fused) = transmit(Tier::Fast);
+        assert!(fused > 0, "{}: channel never took the fast path", spec.name());
         for tier in PER_STEP {
-            let mut stepped = machine(tier);
-            let b = run_channel(&mut stepped, &spec, &payload, true).unwrap();
+            let (b, stepped) = transmit(tier);
             assert_eq!(a, b, "{} diverged under {tier:?}", spec.name());
-            assert_eq!(fast_path_count(&stepped), 0, "{}: {tier:?} took a fused path", spec.name());
+            assert_eq!(stepped, 0, "{}: {tier:?} took a fused path", spec.name());
         }
     }
 }

@@ -360,10 +360,9 @@ impl UarchProfile {
     }
 
     /// A toolchain-stable digest of every behavior-relevant field, used to
-    /// key machine pools and calibration caches (including the persistent
-    /// `SMACK_CALIB_DIR` disk cache, so the encoding must never drift —
-    /// it is computed with [`crate::stablehash::StableHasher`] and locked
-    /// by the `fingerprint_compat` test). Two profiles with the same
+    /// key machine pools and calibration caches (computed with
+    /// [`crate::stablehash::StableHasher`] and locked by the
+    /// `fingerprint_compat` test). Two profiles with the same
     /// fingerprint simulate identically; ablation-perturbed profiles
     /// (e.g. a tweaked `probe_costs` cell) get distinct fingerprints and
     /// therefore never share pooled machines or cached calibrations with
@@ -553,9 +552,9 @@ mod tests {
     use super::*;
 
     /// Locks the stable fingerprint encoding. These digests key the
-    /// persistent `SMACK_CALIB_DIR` calibration cache; if this test fails,
-    /// the hashing scheme changed and every on-disk cache entry will be
-    /// orphaned — that is only acceptable in a PR that says so explicitly.
+    /// machine pools and the calibration cache; if this test fails, the
+    /// hashing scheme changed — which must be a deliberate change that
+    /// says so, never a side effect of editing the profile struct.
     #[test]
     fn fingerprint_compat() {
         assert_eq!(MicroArch::WestmereEp.profile().fingerprint(), 0x290384fde5c76ec5);

@@ -2,14 +2,16 @@
 //!
 //! [`UarchProfile::fingerprint`](crate::UarchProfile::fingerprint) and
 //! [`NoiseConfig::fingerprint`](crate::NoiseConfig::fingerprint) key the
-//! machine pools and the *persistent* calibration cache (`SMACK_CALIB_DIR`).
-//! `std::collections::hash_map::DefaultHasher` is explicitly documented as
-//! unstable across Rust releases, so fingerprints built on it would silently
-//! churn every cache key on a toolchain upgrade. `StableHasher` implements
-//! FNV-1a over a little-endian byte stream: the digest depends only on the
-//! values written, never on the platform, the process, or the standard
-//! library version. The `fingerprint_compat` tests lock the resulting
-//! digests so any accidental change to the encoding fails loudly.
+//! machine pools and the in-memory calibration cache. A fingerprint is an
+//! identity for a configuration, so it should be a plain function of the
+//! configuration's values: `std::collections::hash_map::DefaultHasher` is
+//! explicitly documented as unstable across Rust releases, so fingerprints
+//! built on it would differ between builds of the same code.
+//! `StableHasher` implements FNV-1a over a little-endian byte stream: the
+//! digest depends only on the values written, never on the platform, the
+//! process, or the standard library version. The `fingerprint_compat`
+//! tests lock the resulting digests so any accidental change to the
+//! encoding (e.g. a field silently dropped from the hash) fails loudly.
 
 use std::hash::Hasher;
 

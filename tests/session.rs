@@ -2,39 +2,42 @@
 //! bit-identical to a fresh one for whole attack pipelines, and the
 //! calibration cache must calibrate at most once per
 //! `(profile, probe class, cold placement, noise)` while returning values
-//! equal to a fresh computation.
+//! equal to a fresh computation in a second registry.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::channel::{random_payload, run_channel, run_channel_in, ChannelSpec};
+use smack::channel::{random_payload, run_channel_in, ChannelSpec};
 use smack::rsa::{self, RsaAttackConfig};
-use smack::session::{Scenario, Sessions};
+use smack::session::{Scenario, Session, Sessions};
 use smack::srp::{self, SrpAttackConfig};
 use smack_crypto::Bignum;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, Placement, ProbeKind};
+use smack_uarch::{MicroArch, NoiseConfig, Placement, ProbeKind};
 
-/// Drive a machine through an unrelated noisy workload so its caches,
-/// TLBs, predictor, memory and RNG are thoroughly dirty before the reset.
-fn dirty(machine: &mut Machine) {
+/// Drive a session's machine through an unrelated noisy workload so its
+/// caches, TLBs, predictor, memory and RNG are thoroughly dirty before
+/// the reset.
+fn dirty(session: &mut Session<'_>) {
     let payload = random_payload(40, 0xd1);
-    run_channel(machine, &ChannelSpec::prime_probe(ProbeKind::Flush), &payload, false)
+    run_channel_in(session, &ChannelSpec::prime_probe(ProbeKind::Flush), &payload, false)
         .expect("dirtying channel runs");
-    machine.write_u64(smack_uarch::Addr(0x0b00_0000), u64::MAX);
+    session.machine().write_u64(smack_uarch::Addr(0x0b00_0000), u64::MAX);
 }
 
 #[test]
 fn reset_machine_reproduces_channel_report_bit_identically() {
-    let profile = MicroArch::CascadeLake.profile();
     let payload = random_payload(96, 0xd5);
     let spec = ChannelSpec::prime_probe(ProbeKind::Store);
+    let scenario = Scenario::new(MicroArch::CascadeLake).with_noise(NoiseConfig::realistic());
 
-    let mut fresh = Machine::with_noise(profile.clone(), NoiseConfig::realistic(), 0xfeed);
-    let want = run_channel(&mut fresh, &spec, &payload, true).expect("fresh channel runs");
+    // Both sessions stay checked out, so each gets a freshly built machine.
+    let sessions = Sessions::new();
+    let mut fresh = sessions.session(&scenario.clone().with_seed(0xfeed));
+    let want = run_channel_in(&mut fresh, &spec, &payload, true).expect("fresh channel runs");
 
-    let mut reused = Machine::with_noise(profile, NoiseConfig::realistic(), 0x0ddba11);
+    let mut reused = sessions.session(&scenario.with_seed(0x0ddba11));
     dirty(&mut reused);
-    reused.reset(NoiseConfig::realistic(), 0xfeed);
-    let got = run_channel(&mut reused, &spec, &payload, true).expect("reset channel runs");
+    reused.renew(0xfeed);
+    let got = run_channel_in(&mut reused, &spec, &payload, true).expect("reset channel runs");
 
     assert_eq!(want, got, "reset must erase every trace of the previous trial");
 }
@@ -45,11 +48,12 @@ fn reset_machine_reproduces_rsa_trace_bit_identically() {
     let exp = Bignum::random_bits(&mut rng, 96);
     let cfg = RsaAttackConfig::new(ProbeKind::Flush);
     let victim = rsa::build_victim(&cfg);
-    let want =
-        rsa::collect_trace(MicroArch::TigerLake, &victim, &exp, &cfg, 0x51).expect("fresh trace");
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0x51);
+    // A freshly built machine in a registry of its own.
+    let want = rsa::collect_trace_in(&mut Sessions::new().session(&scenario), &victim, &exp, &cfg)
+        .expect("fresh trace");
 
     let sessions = Sessions::new();
-    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0x51);
     // First session: machine is built. Dirty it via a different trace,
     // then renew — same pooled machine, reset in place.
     let mut session = sessions.session(&scenario.clone().with_seed(0x99));
@@ -63,13 +67,8 @@ fn reset_machine_reproduces_rsa_trace_bit_identically() {
     assert!(sessions.pool().stats().reused >= 1, "second checkout must reuse");
     let via_pool = rsa::collect_trace_in(&mut session, &victim, &exp, &cfg).expect("pooled");
 
-    assert_eq!(via_renew.samples, via_pool.samples);
-    assert_eq!(via_renew.victim_cycles, via_pool.victim_cycles);
-    // The standalone path interleaves its calibration with the trial
-    // machine's timeline, so it is a *different* (also deterministic)
-    // experiment — both must land in the same sample-count ballpark.
-    let (a, b) = (want.samples.len() as f64, via_pool.samples.len() as f64);
-    assert!((a - b).abs() / a < 0.1, "standalone {a} vs session {b} samples");
+    assert_eq!(via_renew, via_pool, "renewed and re-checked-out machines agree");
+    assert_eq!(want, via_pool, "a reset machine reproduces a freshly built one");
 }
 
 #[test]
@@ -113,15 +112,21 @@ fn campaign_calibrates_once_per_key() {
 
 #[test]
 fn cached_calibration_equals_fresh_computation() {
-    let sessions = Sessions::new();
-    let session = sessions.session(&Scenario::new(MicroArch::TigerLake));
-    for kind in [ProbeKind::Flush, ProbeKind::Store, ProbeKind::Lock, ProbeKind::Clwb] {
+    let (warm, cold_registry) = (Sessions::new(), Sessions::new());
+    let scenario = Scenario::new(MicroArch::TigerLake);
+    let session = warm.session(&scenario);
+    let fresh_session = cold_registry.session(&scenario);
+    let kinds = [ProbeKind::Flush, ProbeKind::Store, ProbeKind::Lock, ProbeKind::Clwb];
+    for kind in kinds {
         for cold in [Placement::L2, Placement::DramOnly] {
-            let cached = session.calibrated(kind, cold).expect("calibrates");
-            let fresh = session.recalibrate(kind, cold).expect("recalibrates");
+            session.calibrated(kind, cold).expect("calibrates");
+            let cached = session.calibrated(kind, cold).expect("cache hit");
+            let fresh = fresh_session.calibrated(kind, cold).expect("calibrates afresh");
             assert_eq!(cached, fresh, "{kind}/{cold}: cache must be a pure function of its key");
         }
     }
+    assert_eq!(warm.calibrations().hits(), 2 * kinds.len() as u64);
+    assert_eq!(cold_registry.calibrations().hits(), 0);
 }
 
 #[test]
