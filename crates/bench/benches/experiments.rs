@@ -84,13 +84,15 @@ fn bench_experiments(c: &mut Criterion) {
         windows_per_run: 2,
         ..Default::default()
     };
+    let det_scenario =
+        Scenario::new(MicroArch::CascadeLake).with_noise(det_cfg.noise).with_seed(13);
     g.bench_function("table5_detection_windows", |b| {
         b.iter(|| {
+            let mut session = sessions.session(&det_scenario);
             smack_detection::attack_windows(
-                MicroArch::CascadeLake,
+                session.machine(),
                 smack_detection::AttackLoop::PrimeProbe(ProbeKind::Store),
                 &det_cfg,
-                13,
             )
             .unwrap()
         })

@@ -8,11 +8,11 @@
 //!
 //! ```text
 //! all [EXPERIMENT..] [--full] [--threads N] [--shard K/N] [--out DIR]
-//!     [--tau-jitter N] [--merge DIR..] [--list]
+//!     [--merge DIR..] [--list]
 //! ```
 //!
-//! * `--threads N` — trial-runner worker threads on this host (else
-//!   `SMACK_BENCH_THREADS`, else the available parallelism).
+//! * `--threads N` — trial-runner worker threads on this host (default:
+//!   the available parallelism). The flag is the only way to set it.
 //! * `--shard K/N` — run only the units this shard owns, writing
 //!   unit-tagged partial CSVs; run one shard per host or process.
 //! * `--merge DIR..` — merge previously written shard directories into
@@ -20,8 +20,6 @@
 //!   must exist: a missing one is an error, never silently dropped rows.
 //! * `--out DIR` — CSV output directory (default `target/repro/`),
 //!   created up front even when a shard owns no units.
-//! * `--tau-jitter N` — jitter the fig5/table2 exposure window by ±N
-//!   cycles per trace (default 0, the fixed historical window).
 //!
 //! Calibrations live in the process-wide in-memory cache of
 //! [`Sessions::global`]: each is computed once per process and key, and
@@ -55,13 +53,12 @@ struct Args {
     threads: Option<usize>,
     shard: Shard,
     out: Option<PathBuf>,
-    tau_jitter: u64,
     merge: bool,
     list: bool,
 }
 
 const USAGE: &str = "usage: <bin> [EXPERIMENT..] [--full] [--threads N] [--shard K/N] \
-                     [--out DIR] [--tau-jitter N] [--merge DIR..] [--list]";
+                     [--out DIR] [--merge DIR..] [--list]";
 
 fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
@@ -70,7 +67,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         threads: None,
         shard: Shard::solo(),
         out: None,
-        tau_jitter: 0,
         merge: false,
         list: false,
     };
@@ -101,11 +97,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             }
             a if a == "--out" || a.starts_with("--out=") => {
                 args.out = Some(PathBuf::from(value_of("--out", &mut it, a)?));
-            }
-            a if a == "--tau-jitter" || a.starts_with("--tau-jitter=") => {
-                let v = value_of("--tau-jitter", &mut it, a)?;
-                args.tau_jitter =
-                    v.parse::<u64>().map_err(|_| format!("bad --tau-jitter value `{v}`"))?;
             }
             a if a.starts_with("--") => return Err(format!("unknown flag `{a}`")),
             name => args.names.push(name.to_owned()),
@@ -138,20 +129,12 @@ fn resolve(names: &[String], default: Selection) -> Result<Vec<&'static Experime
 }
 
 fn print_list() {
-    let mut t = report::Table::new(&[
-        "name",
-        "group",
-        "units (quick)",
-        "units (full)",
-        "csv files",
-        "title",
-    ]);
+    let mut t = report::Table::new(&["name", "group", "units", "csv files", "title"]);
     for e in registry::registry() {
         t.row(vec![
             e.name.to_owned(),
             format!("{:?}", e.group),
-            (e.units)(Mode::Quick).to_string(),
-            (e.units)(Mode::Full).to_string(),
+            e.units.to_string(),
             e.csvs.join(" "),
             e.title.to_owned(),
         ]);
@@ -197,19 +180,16 @@ fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
         return run_merge(&args.names, &out_root);
     }
     let selection = resolve(&args.names, default)?;
-    let runner = match args.threads {
-        Some(n) => Runner::with_threads(n),
-        None => Runner::from_env()?,
-    }
-    .with_shard(args.shard);
+    let threads =
+        args.threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let runner = Runner::with_threads(threads).with_shard(args.shard);
 
     // Create the output directory even when this shard owns no units, so
     // a later `--merge` can tell an empty shard from a mistyped path.
     if let Err(e) = std::fs::create_dir_all(&out_root) {
         eprintln!("warning: could not create {}: {e}", out_root.display());
     }
-    let spec =
-        RunSpec { mode: args.mode, runner, out_dir: args.out.clone(), tau_jitter: args.tau_jitter };
+    let spec = RunSpec { mode: args.mode, runner, out_dir: args.out.clone() };
     let times = registry::run_selection(&selection, &spec);
 
     if selection.len() > 1 {
@@ -248,11 +228,10 @@ mod tests {
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.shard, Shard::new(1, 4));
 
-        let b = parse(&strings(&["--threads=8", "--out", "x/y", "--tau-jitter=32"]))
-            .expect("--threads=N, --out DIR, and --tau-jitter=N should all parse");
+        let b = parse(&strings(&["--threads=8", "--out", "x/y"]))
+            .expect("--threads=N and --out DIR should both parse");
         assert_eq!(b.threads, Some(8));
         assert_eq!(b.out, Some(PathBuf::from("x/y")));
-        assert_eq!(b.tau_jitter, 32);
         assert_eq!(b.mode, Mode::Quick);
     }
 
@@ -262,6 +241,13 @@ mod tests {
         assert!(parse(&strings(&["--threads", "zero"])).is_err());
         assert!(parse(&strings(&["--shard", "5/4"])).is_err());
         assert!(parse(&strings(&["--wat"])).is_err());
+        for removed in ["--tau-jitter", "--tau-jitter=32"] {
+            assert_eq!(
+                parse(&strings(&[removed, "32"])),
+                Err(format!("unknown flag `{removed}`")),
+                "the τ_w jitter knob is gone (ablation_tau_jitter measures it)"
+            );
+        }
         assert!(parse(&strings(&["--merge", "--shard", "1/2"])).is_err());
     }
 

@@ -7,13 +7,16 @@
 //! Every experiment receives a [`Ctx`] from the registry: the run mode,
 //! the one shard-aware [`Runner`](crate::runner::Runner) threaded down
 //! from the CLI (so `--threads` and `--shard` apply uniformly — no
-//! harness consults the environment on its own), CSV routing, and the
-//! flag-gated τ_w jitter. Trials fan out through
+//! harness consults the environment on its own) and CSV routing. Trials
+//! fan out through
 //! [`Runner::run_scenarios`](crate::runner::Runner::run_scenarios), so
 //! each trial closure receives a pooled [`Session`](smack::Session):
 //! machine construction is amortized across trials and a probe threshold
 //! is calibrated at most once per
 //! `(profile, probe class, cold placement, noise)` for the whole process.
+//! No experiment builds a machine of its own; the fingerprinting and
+//! detection measurements, which calibrate inline as part of the modeled
+//! attack, also run on pooled sessions.
 //!
 //! Sharding happens at *unit* granularity — a probe class for [`fig5`],
 //! an SRP group for [`table2`], a (processor, probe) cell for [`table4`],
@@ -25,14 +28,18 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smack::channel::{random_payload, run_channel_in, ChannelSpec};
 use smack::characterize::{figure1, figure1_mastik_row, figure2};
-use smack::fingerprint::{library_id_experiment, mul_set_detection_accuracy, SweepConfig};
+use smack::fingerprint::{
+    activity_vector, library_id_scores, mul_set_accuracy, mul_set_activity, SweepConfig,
+};
 use smack::ispectre::{applicability_in, leak_secret_in, Applicability, ISpectreConfig};
 use smack::rsa::{self, RsaAttackConfig};
 use smack::session::{Scenario, Session};
 use smack::srp::{self, SrpAttackConfig};
 use smack_analysis::{AnalysisReport, Verdict};
 use smack_crypto::Bignum;
+use smack_detection::{CounterDelta, DetectionConfig};
 use smack_mastik::MastikMonitor;
+use smack_ml::Sample;
 use smack_uarch::{Machine, MicroArch, NoiseConfig, Placement, ProbeKind, ThreadId};
 use smack_victims::corpus::{self, corpus};
 use smack_victims::modexp::{ModexpAlgorithm, ModexpVictimBuilder};
@@ -336,7 +343,6 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
     let max_traces = ctx.mode().pick(12, 25);
     let mut rng = SmallRng::seed_from_u64(0xf5);
     let exp = Bignum::random_bits(&mut rng, bits);
-    let tau_jitter = ctx.tau_jitter();
     // One trial per probe class; each trial's trace sequence keeps its
     // sequential early-exit semantics (stop at the first 70% vote). The
     // trial renews its one pooled session per trace instead of building a
@@ -345,7 +351,7 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
     let scenario = Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::realistic());
     let rows: Vec<Fig5Row> = ctx.runner().run_scenarios(scenario, owned.len(), |session, trial| {
         let kind = FIG5_KINDS[owned[trial]];
-        let cfg = RsaAttackConfig { wait_jitter: tau_jitter, ..RsaAttackConfig::new(kind) };
+        let cfg = RsaAttackConfig::new(kind);
         let victim = rsa::build_victim(&cfg);
         let mut decodes: Vec<Vec<bool>> = Vec::new();
         let mut aligned_rates = Vec::new();
@@ -413,19 +419,14 @@ pub struct Table2Row {
 /// parallel/sequential result equality.
 pub fn table2_rows(mode: Mode, runner: &Runner) -> Vec<Table2Row> {
     let all: Vec<usize> = (0..smack_crypto::SrpGroup::PAPER_SIZES.len()).collect();
-    table2_rows_for(mode, runner, &all, 0)
+    table2_rows_for(mode, runner, &all)
 }
 
 /// The Table 2 grid restricted to the group-size units in `groups` (by
 /// index into `SrpGroup::PAPER_SIZES`): every (group, key) cell is one
 /// independent trial whose seeds derive from the key index alone, so a
 /// group's row is identical no matter which shard computes it.
-fn table2_rows_for(
-    mode: Mode,
-    runner: &Runner,
-    groups: &[usize],
-    tau_jitter: u64,
-) -> Vec<Table2Row> {
+fn table2_rows_for(mode: Mode, runner: &Runner, groups: &[usize]) -> Vec<Table2Row> {
     let keys = mode.pick(3, 100);
     let exp_bits = mode.pick(160, 0); // 0 = full group size
     let sizes = smack_crypto::SrpGroup::PAPER_SIZES;
@@ -442,14 +443,14 @@ fn table2_rows_for(
         let mut rng = SmallRng::seed_from_u64(0x7b + key as u64);
         let nbits = if exp_bits == 0 { group } else { exp_bits };
         let b = Bignum::random_bits(&mut rng, nbits);
-        let cfg = SrpAttackConfig {
-            noise: NoiseConfig::noisy(),
-            wait_jitter: tau_jitter,
-            ..SrpAttackConfig::new(group)
-        };
-        let out = srp::single_trace_attack_in(session, &b, &cfg).expect("smc attack runs");
+        let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(group) };
+        let out = srp::single_trace_attack_in(session, &b, &cfg).unwrap_or_else(|e| {
+            panic!("table2 Prime+iStore group {group} / key {key} failed: {e}")
+        });
         session.renew(key as u64);
-        (out.leakage, mastik_srp_leakage_on(session.machine(), group, &b))
+        let mastik = mastik_srp_leakage_on(session.machine(), group, &b)
+            .unwrap_or_else(|e| panic!("table2 Mastik group {group} / key {key} failed: {e}"));
+        (out.leakage, mastik)
     });
     groups
         .iter()
@@ -470,7 +471,7 @@ pub fn table2(ctx: &Ctx) -> Vec<Table2Row> {
         return Vec::new();
     }
     banner("Table 2 — SRP single-trace leakage per group size (Tiger Lake)");
-    let rows = table2_rows_for(ctx.mode(), ctx.runner(), &owned, ctx.tau_jitter());
+    let rows = table2_rows_for(ctx.mode(), ctx.runner(), &owned);
     let mut t = Table::new(&["group size", "Prime+iStore", "Mastik (PnP)"]);
     for (unit, row) in owned.iter().zip(&rows) {
         t.unit(*unit).row(vec![
@@ -490,56 +491,58 @@ pub fn table2(ctx: &Ctx) -> Vec<Table2Row> {
     rows
 }
 
-/// Collect the §6.1 dataset with every workload run as its own trial —
-/// the parallel equivalent of `smack_detection::collect_dataset`, built
-/// on the same [`smack_detection::dataset_units`] (identical workloads
-/// and seeds, so the dataset is identical).
-fn collect_detection_dataset(
+/// Collect the §6.1 dataset: every [`smack_detection::dataset_units`]
+/// unit is one trial on a session with the unit's seed, and the windows
+/// are split into `(benign, attacks)` in unit order. Units whose probe
+/// class `arch` lacks contribute no windows.
+///
+/// # Errors
+///
+/// Returns the first failing unit's error, naming the unit.
+pub fn detection_dataset(
     runner: &Runner,
     arch: MicroArch,
-    cfg: &smack_detection::DetectionConfig,
-) -> (Vec<smack_detection::CounterDelta>, Vec<smack_detection::CounterDelta>) {
+    cfg: &DetectionConfig,
+) -> Result<(Vec<CounterDelta>, Vec<CounterDelta>), String> {
     let units = smack_detection::dataset_units();
     let spec_for = |i: usize| Scenario::new(arch).with_noise(cfg.noise).with_seed(units[i].seed());
     let windows = runner.run_scenarios(spec_for, units.len(), |session, i| {
-        smack_detection::collect_unit_on(session.machine(), units[i], cfg)
-            .expect("dataset unit collects")
+        smack_detection::collect_unit(session.machine(), units[i], cfg)
+            .map_err(|e| format!("{:?}: {e}", units[i]))
     });
     let mut benign = Vec::new();
     let mut attacks = Vec::new();
     for (unit, w) in units.iter().zip(windows) {
-        let Some(w) = w else { continue };
+        let Some(w) = w? else { continue };
         if unit.is_benign() {
             benign.extend(w);
         } else {
             attacks.extend(w);
         }
     }
-    (benign, attacks)
+    Ok((benign, attacks))
 }
 
 /// Run the Mastik baseline against the SRP victim on a machine in its
 /// cold start state; returns the leakage.
-fn mastik_srp_leakage_on(machine: &mut Machine, group_bits: usize, b: &Bignum) -> f64 {
+fn mastik_srp_leakage_on(
+    machine: &mut Machine,
+    group_bits: usize,
+    b: &Bignum,
+) -> Result<f64, String> {
     let victim = srp::build_victim(group_bits, b.bit_len());
     machine.load_program(&victim.program);
-    let mut monitor =
-        match MastikMonitor::new(machine, ThreadId::T0, 0x0a50_0000, victim.mul_set, 600) {
-            Ok(m) => m,
-            Err(_) => return 0.0,
-        };
+    let mut monitor = MastikMonitor::new(machine, ThreadId::T0, 0x0a50_0000, victim.mul_set, 600)
+        .map_err(|e| e.to_string())?;
     let sampler = move |m: &mut Machine| -> Result<bool, String> {
         monitor.sample(m).map_err(|e| e.to_string())
     };
     let max_samples = group_bits * 60 + 10_000;
-    let samples = match srp::collect_events(machine, &victim, b, sampler, max_samples) {
-        Ok(s) => s,
-        Err(_) => return 0.0,
-    };
+    let samples = srp::collect_events(machine, &victim, b, sampler, max_samples)?;
     let measured = srp::measured_square_runs(&samples);
     let schedule = smack_crypto::modexp::sliding_window_schedule(b);
     let truth = srp::truth_spans(&schedule);
-    srp::leakage_rate(&measured, &truth)
+    Ok(srp::leakage_rate(&measured, &truth))
 }
 
 /// Figure 6: the SRP single-trace pattern timeline at group size 6144.
@@ -718,12 +721,13 @@ pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
         return Vec::new();
     }
     banner("Section 6.1 — counter-based detection of SMC attacks (Cascade Lake)");
-    let cfg = smack_detection::DetectionConfig {
+    let cfg = DetectionConfig {
         window_cycles: ctx.mode().pick(80_000, 200_000) as u64,
         windows_per_run: ctx.mode().pick(6, 14),
         noise: NoiseConfig::realistic(),
     };
-    let (benign, attacks) = collect_detection_dataset(ctx.runner(), MicroArch::CascadeLake, &cfg);
+    let (benign, attacks) = detection_dataset(ctx.runner(), MicroArch::CascadeLake, &cfg)
+        .unwrap_or_else(|e| panic!("table5 dataset unit failed: {e}"));
     let mut t = Table::new(&["feature set", "accuracy", "F1", "FPR"]);
     let mut out = Vec::new();
     for fs in smack_detection::FeatureSet::ALL {
@@ -743,10 +747,21 @@ pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
     out
 }
 
+/// One Case Study II measurement, on its own pooled session.
+enum FingerprintMeasurement {
+    /// Step 1: the activity vector of corpus version `label` under key
+    /// `key_seed`, for training (`online == false`) or identification.
+    Library { label: usize, key_seed: u64, online: bool },
+    /// Step 2: RSA victim `i`'s multiplication set (`mul`) or another set.
+    MulSet { i: usize, mul: bool },
+}
+
 /// Case Study II steps 1–2 (paper §5.2): identify the victim's crypto
 /// library version from L1i-set activity fingerprints, and locate the
-/// multiplication set.
+/// multiplication set. Every measurement is one trial; the samples are
+/// scored in plan order.
 pub fn fingerprint(ctx: &Ctx) {
+    use FingerprintMeasurement::{Library, MulSet};
     if !ctx.owns(0) {
         return;
     }
@@ -757,22 +772,52 @@ pub fn fingerprint(ctx: &Ctx) {
         Mode::Full => full.clone(),
     };
     let cfg = SweepConfig::default();
-    let report = library_id_experiment(
-        MicroArch::TigerLake,
-        &versions,
-        ctx.mode().pick(5, 8),
-        ctx.mode().pick(1, 2),
-        &cfg,
-    )
-    .expect("experiment runs");
+    // (machine seed, measurement), in the order the samples are scored.
+    let mut plan = Vec::new();
+    for label in 0..versions.len() {
+        for k in 0..ctx.mode().pick(5, 8) as u64 {
+            plan.push((100 + k, Library { label, key_seed: k, online: false }));
+        }
+        for k in 0..ctx.mode().pick(1, 2) as u64 {
+            plan.push((900 + k, Library { label, key_seed: 1000 + k, online: true }));
+        }
+    }
+    for i in 0..ctx.mode().pick(8, 24) {
+        for mul in [true, false] {
+            plan.push((42 + i as u64, MulSet { i, mul }));
+        }
+    }
+    let spec_for = |t: usize| -> Scenario {
+        Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(plan[t].0)
+    };
+    let samples = ctx.runner().run_scenarios(spec_for, plan.len(), |session, t| {
+        let m = session.machine();
+        match plan[t].1 {
+            Library { label, key_seed, .. } => {
+                activity_vector(m, &versions[label], key_seed, &cfg).map(|v| Sample::new(v, label))
+            }
+            MulSet { i, mul } => {
+                mul_set_activity(m, i, mul, &cfg).map(|v| Sample::new(v, mul as usize))
+            }
+        }
+        .unwrap_or_else(|e| panic!("fingerprint measurement {t} failed: {e}"))
+    });
+    let (mut train, mut test, mut mul_samples) = (Vec::new(), Vec::new(), Vec::new());
+    for ((_, measurement), sample) in plan.iter().zip(samples) {
+        match measurement {
+            Library { online: false, .. } => train.push(sample),
+            Library { online: true, .. } => test.push(sample),
+            MulSet { .. } => mul_samples.push(sample),
+        }
+    }
+    let report = library_id_scores(train, &test);
     let mut t = Table::new(&["metric", "measured", "paper"]);
-    t.row(vec![s("versions classified"), s(report.versions), s("34 (20 OpenSSL + 14 Libgcrypt)")]);
+    t.row(vec![s("versions classified"), s(versions.len()), s("34 (20 OpenSSL + 14 Libgcrypt)")]);
     t.row(vec![s("offline cross-validation accuracy"), f(report.cv_accuracy, 3), s("1.00")]);
     t.row(vec![s("online identification accuracy"), f(report.online_accuracy, 3), s("0.97")]);
 
     banner("Case Study II step 2 — multiplication-set detection");
-    let acc = mul_set_detection_accuracy(MicroArch::TigerLake, ctx.mode().pick(8, 24), &cfg)
-        .expect("experiment runs");
+    let acc = mul_set_accuracy(mul_samples);
     println!("binary kNN accuracy: {acc:.3}   (paper: 0.96)");
     t.row(vec![s("mul-set detection accuracy"), f(acc, 3), s("0.96")]);
     t.print();

@@ -31,7 +31,12 @@
 //! (trial-runner workers on this host), `--shard K/N` (run this slice of
 //! the unit space, emitting unit-tagged CSVs), `--merge DIR..`
 //! (reassemble shard directories, bit-identical to the unsharded run),
-//! `--out DIR`, `--tau-jitter N` and `--list` — see [`cli`].
+//! `--out DIR` and `--list` — see [`cli`].
+//!
+//! Every experiment fans its trials out through
+//! [`runner::Runner::run_scenarios`], so every machine it simulates is a
+//! pooled [`smack::Session`] from the runner's registry; no harness
+//! builds a `Machine` of its own.
 
 pub mod ablations;
 pub mod cli;

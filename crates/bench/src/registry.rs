@@ -42,17 +42,17 @@ pub struct Experiment {
     pub group: Group,
     /// CSV files this experiment writes (without `.csv`).
     pub csvs: &'static [&'static str],
-    /// Shardable unit count for a mode.
-    pub units: fn(Mode) -> usize,
+    /// Shardable unit count (the same in quick and full mode).
+    pub units: usize,
     /// Run the units selected by the context.
     pub run: fn(&Ctx),
 }
 
 /// Execution context handed to every experiment: the run mode, the
-/// (shard-aware) trial runner, CSV routing, and the flag-gated τ_w jitter
-/// amplitude. Experiments ask [`Ctx::units`] which of their units this
-/// process owns and route every CSV through [`Ctx::write_csv`] so sharded
-/// runs emit mergeable unit-tagged partials.
+/// (shard-aware) trial runner and CSV routing. Experiments ask
+/// [`Ctx::units`] which of their units this process owns and route every
+/// CSV through [`Ctx::write_csv`] so sharded runs emit mergeable
+/// unit-tagged partials.
 pub struct Ctx {
     mode: Mode,
     runner: Runner,
@@ -61,7 +61,6 @@ pub struct Ctx {
     /// shards).
     unit_base: usize,
     out_dir: Option<PathBuf>,
-    tau_jitter: u64,
     /// Explicit local unit ownership, overriding the shard filter.
     unit_filter: Option<Vec<usize>>,
 }
@@ -70,7 +69,7 @@ impl Ctx {
     /// A context that owns every unit and writes to the default output
     /// directory — what the unsharded harness and the tests use.
     pub fn solo(mode: Mode, runner: Runner) -> Ctx {
-        Ctx { mode, runner, unit_base: 0, out_dir: None, tau_jitter: 0, unit_filter: None }
+        Ctx { mode, runner, unit_base: 0, out_dir: None, unit_filter: None }
     }
 
     /// Replace the CSV output directory (`None` = `target/repro/`).
@@ -82,12 +81,6 @@ impl Ctx {
     /// Set this experiment's global unit offset.
     pub fn with_unit_base(mut self, base: usize) -> Ctx {
         self.unit_base = base;
-        self
-    }
-
-    /// Set the τ_w jitter amplitude (see `smack::probe::jittered_wait`).
-    pub fn with_tau_jitter(mut self, jitter: u64) -> Ctx {
-        self.tau_jitter = jitter;
         self
     }
 
@@ -109,12 +102,6 @@ impl Ctx {
     /// environment themselves).
     pub fn runner(&self) -> &Runner {
         &self.runner
-    }
-
-    /// The τ_w jitter amplitude for fig5/table2-style trace collection
-    /// (0 = the historical fixed exposure window).
-    pub fn tau_jitter(&self) -> u64 {
-        self.tau_jitter
     }
 
     /// The unit indices in `0..total` this process owns, ascending.
@@ -149,26 +136,6 @@ impl Ctx {
     }
 }
 
-fn one_unit(_: Mode) -> usize {
-    1
-}
-
-fn fig5_units(_: Mode) -> usize {
-    experiments::FIG5_KINDS.len()
-}
-
-fn table2_units(_: Mode) -> usize {
-    smack_crypto::SrpGroup::PAPER_SIZES.len()
-}
-
-fn table4_units(_: Mode) -> usize {
-    experiments::TABLE4_CELLS
-}
-
-fn analyze_units(_: Mode) -> usize {
-    experiments::ANALYZE_UNITS
-}
-
 /// Every experiment, in the order `all` runs the paper artifacts.
 pub fn registry() -> &'static [Experiment] {
     static REGISTRY: &[Experiment] = &[
@@ -177,7 +144,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 1 — probe timing per cache state (+ Mastik row)",
             group: Group::Paper,
             csvs: &["fig1"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::fig1(ctx);
             },
@@ -187,7 +154,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 2 — SMC counter reverse engineering (Intel + AMD)",
             group: Group::Paper,
             csvs: &["fig2_intel", "fig2_amd"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::fig2(ctx);
             },
@@ -197,7 +164,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Table 1 — covert-channel bandwidth & error rates",
             group: Group::Paper,
             csvs: &["table1"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::table1(ctx);
             },
@@ -207,7 +174,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 3 — receiver timing trace with assigned bits",
             group: Group::Paper,
             csvs: &["fig3"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::fig3(ctx);
             },
@@ -217,7 +184,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 4 — multiplication-set activity",
             group: Group::Paper,
             csvs: &["fig4"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::fig4(ctx);
             },
@@ -227,7 +194,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 5 — traces needed for 70% RSA key recovery",
             group: Group::Paper,
             csvs: &["fig5"],
-            units: fig5_units,
+            units: experiments::FIG5_KINDS.len(),
             run: |ctx| {
                 experiments::fig5(ctx);
             },
@@ -237,7 +204,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Table 2 — SRP leakage: Prime+iStore vs Mastik",
             group: Group::Paper,
             csvs: &["table2"],
-            units: table2_units,
+            units: smack_crypto::SrpGroup::PAPER_SIZES.len(),
             run: |ctx| {
                 experiments::table2(ctx);
             },
@@ -247,7 +214,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 6 — SRP single-trace pattern timeline",
             group: Group::Paper,
             csvs: &["fig6"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::fig6(ctx);
             },
@@ -257,7 +224,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Table 3 — ISpectre applicability matrix",
             group: Group::Paper,
             csvs: &["table3"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::table3(ctx);
             },
@@ -267,7 +234,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Table 4 — ISpectre leakage rates (B/s)",
             group: Group::Paper,
             csvs: &["table4"],
-            units: table4_units,
+            units: experiments::TABLE4_CELLS,
             run: |ctx| {
                 experiments::table4(ctx);
             },
@@ -277,7 +244,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "§6.1 — detection accuracy / F-score / FPR",
             group: Group::Paper,
             csvs: &["table5"],
-            units: one_unit,
+            units: 1,
             run: |ctx| {
                 experiments::table5(ctx);
             },
@@ -287,7 +254,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Case Study II steps 1–2 — library fingerprinting",
             group: Group::CaseStudy,
             csvs: &["fingerprint"],
-            units: one_unit,
+            units: 1,
             run: experiments::fingerprint,
         },
         Experiment {
@@ -295,7 +262,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Static leakage analyzer — taint verdicts vs measured recovery",
             group: Group::CaseStudy,
             csvs: &["analyze"],
-            units: analyze_units,
+            units: experiments::ANALYZE_UNITS,
             run: |ctx| {
                 experiments::analyze(ctx);
             },
@@ -305,7 +272,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Ablation — SMC latency surcharge vs channel error rate",
             group: Group::Ablation,
             csvs: &["ablation_smc_penalty"],
-            units: one_unit,
+            units: 1,
             run: ablations::smc_penalty_sweep,
         },
         Experiment {
@@ -313,7 +280,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Ablation — front-end L2-latency hiding vs the Mastik margin",
             group: Group::Ablation,
             csvs: &["ablation_frontend"],
-            units: one_unit,
+            units: 1,
             run: ablations::frontend_ablation,
         },
         Experiment {
@@ -321,7 +288,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Ablation — rdtsc resolution vs channel error rate",
             group: Group::Ablation,
             csvs: &["ablation_timer"],
-            units: one_unit,
+            units: 1,
             run: ablations::timer_resolution_sweep,
         },
         Experiment {
@@ -329,7 +296,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Ablation — τ_w (prime→probe wait) vs RSA recovery",
             group: Group::Ablation,
             csvs: &["ablation_tau_w"],
-            units: one_unit,
+            units: 1,
             run: ablations::tau_w_sweep,
         },
         Experiment {
@@ -337,7 +304,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Ablation — fixed vs jittered exposure window (RSA voting)",
             group: Group::Ablation,
             csvs: &["ablation_tau_jitter"],
-            units: one_unit,
+            units: 1,
             run: ablations::tau_jitter_sweep,
         },
         Experiment {
@@ -345,7 +312,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "§6.2 — constant-time exponentiation defeats the attack",
             group: Group::Ablation,
             csvs: &["ablation_countermeasure"],
-            units: one_unit,
+            units: 1,
             run: ablations::countermeasure,
         },
         Experiment {
@@ -353,7 +320,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Ablation — victim slowdown under SMC machine-clear storms",
             group: Group::Ablation,
             csvs: &["ablation_slowdown"],
-            units: one_unit,
+            units: 1,
             run: ablations::sibling_slowdown,
         },
     ];
@@ -379,15 +346,12 @@ pub struct RunSpec {
     pub runner: Runner,
     /// CSV output directory (`None` = `target/repro/`).
     pub out_dir: Option<PathBuf>,
-    /// Flag-gated τ_w jitter amplitude.
-    pub tau_jitter: u64,
 }
 
 impl RunSpec {
-    /// Defaults: quick mode, environment-configured runner, standard
-    /// output directory, no jitter.
+    /// `mode` on `runner`, writing to the standard output directory.
     pub fn new(mode: Mode, runner: Runner) -> RunSpec {
-        RunSpec { mode, runner, out_dir: None, tau_jitter: 0 }
+        RunSpec { mode, runner, out_dir: None }
     }
 
     /// The context for an experiment whose first unit has global number
@@ -396,7 +360,6 @@ impl RunSpec {
         Ctx::solo(self.mode, self.runner)
             .with_out_dir(self.out_dir.clone())
             .with_unit_base(unit_base)
-            .with_tau_jitter(self.tau_jitter)
     }
 }
 
@@ -407,7 +370,7 @@ pub fn run_selection(selection: &[&Experiment], spec: &RunSpec) -> Vec<(&'static
     let mut unit_base = 0usize;
     let mut times = Vec::with_capacity(selection.len());
     for exp in selection {
-        let total = (exp.units)(spec.mode);
+        let total = exp.units;
         let owned = spec.runner.owned_units(unit_base, total);
         let start = Instant::now();
         if !owned.is_empty() {
@@ -454,10 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn unit_counts_are_positive_and_mode_stable() {
+    fn unit_counts_are_positive() {
         for exp in registry() {
-            assert!((exp.units)(Mode::Quick) > 0, "{}", exp.name);
-            assert_eq!((exp.units)(Mode::Quick), (exp.units)(Mode::Full), "{}", exp.name);
+            assert!(exp.units > 0, "{}", exp.name);
         }
     }
 }

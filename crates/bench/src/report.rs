@@ -73,27 +73,6 @@ impl Table {
         }
     }
 
-    /// Write as CSV under `target/repro/<name>.csv`, reporting (but not
-    /// aborting on) I/O failures — a harness run's printed tables are
-    /// still useful when the filesystem is read-only.
-    pub fn write_csv(&self, name: &str) {
-        match self.try_write_csv(name) {
-            Ok(path) => println!("[csv] {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {name}.csv: {e}"),
-        }
-    }
-
-    /// Write as CSV under `target/repro/<name>.csv`, returning the path
-    /// written or the underlying I/O error (directory creation included).
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from creating `target/repro/` or writing the
-    /// file.
-    pub fn try_write_csv(&self, name: &str) -> io::Result<PathBuf> {
-        self.try_write_csv_in(None, name, false)
-    }
-
     /// Write as CSV into `dir` (`None` = the default `target/repro/`),
     /// creating the directory as needed. With `tagged`, rows carry their
     /// experiment unit in a leading `unit` column — the partial-CSV format
@@ -199,20 +178,6 @@ pub fn validate_partial_csv(text: &str) -> Result<(), String> {
 pub fn default_repro_dir() -> PathBuf {
     PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_owned()))
         .join("repro")
-}
-
-/// Location of a CSV in the output directory (`target/repro/`), creating
-/// the directory if needed.
-///
-/// # Errors
-///
-/// Propagates the `create_dir_all` failure instead of swallowing it — a
-/// missing `target/repro/` must not silently drop every CSV.
-pub fn repro_path(name: &str) -> io::Result<PathBuf> {
-    let dir = default_repro_dir();
-    fs::create_dir_all(&dir)
-        .map_err(|e| io::Error::new(e.kind(), format!("creating {}: {e}", dir.display())))?;
-    Ok(dir.join(format!("{name}.csv")))
 }
 
 /// Merge unit-tagged shard CSVs (see [`Table::try_write_csv_in`]) into

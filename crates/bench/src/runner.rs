@@ -8,7 +8,8 @@
 //! state — makes parallel output bit-identical to sequential output.
 //!
 //! [`Runner::run_scenarios`] is the session-layer entry point every
-//! `fig*`/`table*` harness uses: each trial closure receives a
+//! experiment uses (figures, tables, fingerprinting, detection, the
+//! analyzer join and the ablations): each trial closure receives a
 //! [`Session`] checked out from the runner's [`Sessions`] registry (the
 //! process-wide [`Sessions::global`] unless [`Runner::with_sessions`]
 //! names another) — a pooled machine in the scenario's exact cold start
@@ -17,11 +18,10 @@
 //! fresh one, and calibrations are pure functions of their cache key), so
 //! the parallel-equals-sequential guarantee carries over unchanged.
 //!
-//! The worker count comes from the `--threads N` CLI flag (threaded in by
-//! the registry CLI via [`Runner::with_threads`]) or the
-//! `SMACK_BENCH_THREADS` environment variable (set either to `1` to
-//! benchmark the sequential baseline), and defaults to the machine's
-//! available parallelism.
+//! The worker count is set explicitly with [`Runner::with_threads`]; the
+//! CLI passes its `--threads N` flag (`1` benchmarks the sequential
+//! baseline), defaulting to the machine's available parallelism. The
+//! runner never reads the environment.
 //!
 //! Beyond threads, a runner carries a [`Shard`]: the `--shard K/N` slice
 //! of the experiment *unit* space this process owns. Because every trial
@@ -142,34 +142,6 @@ impl Runner {
         Runner::with_threads(1)
     }
 
-    /// The standard runner: `SMACK_BENCH_THREADS` when set, otherwise the
-    /// machine's available parallelism. (The `--threads N` CLI flag builds
-    /// its runner explicitly and wins over the environment.)
-    ///
-    /// # Errors
-    ///
-    /// A set but invalid value (`0`, `abc`, ...) is an error naming it,
-    /// exactly as `--threads 0` is; unset or empty means the default.
-    pub fn from_env() -> Result<Runner, String> {
-        let var = std::env::var_os("SMACK_BENCH_THREADS");
-        Runner::from_threads_var(var.as_deref().map(|v| v.to_string_lossy()).as_deref())
-    }
-
-    /// [`Runner::from_env`] over an explicit `SMACK_BENCH_THREADS` value.
-    fn from_threads_var(value: Option<&str>) -> Result<Runner, String> {
-        match value.filter(|v| !v.is_empty()) {
-            None => Ok(Runner::with_threads(
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            )),
-            Some(v) => v
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n > 0)
-                .map(Runner::with_threads)
-                .ok_or_else(|| format!("bad SMACK_BENCH_THREADS value `{v}` (want N > 0)")),
-        }
-    }
-
     /// This runner restricted to one shard of the unit space.
     pub fn with_shard(mut self, shard: Shard) -> Runner {
         self.shard = shard;
@@ -258,7 +230,7 @@ impl Runner {
     }
 
     /// Run `n` session-backed trials and collect the results in index
-    /// order — the single entry point for every `fig*`/`table*` harness.
+    /// order — the single entry point for every experiment.
     ///
     /// Each trial receives a [`Session`] checked out from this runner's
     /// [`Runner::sessions`] for `spec.scenario(i)`: a pooled machine in
@@ -318,23 +290,7 @@ mod tests {
 
     #[test]
     fn zero_trials_is_empty() {
-        let runner = Runner::from_env().expect("SMACK_BENCH_THREADS unset or valid");
-        assert!(runner.run(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn threads_env_is_validated_not_ignored() {
-        let default = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(Runner::from_threads_var(None).unwrap().threads(), default);
-        assert_eq!(Runner::from_threads_var(Some("")).unwrap().threads(), default);
-        assert_eq!(Runner::from_threads_var(Some("3")).unwrap().threads(), 3);
-        for bad in ["0", "abc", "-1", " 2"] {
-            let err = Runner::from_threads_var(Some(bad)).expect_err(bad);
-            assert!(
-                err.contains("SMACK_BENCH_THREADS") && err.contains(&format!("`{bad}`")),
-                "{err}"
-            );
-        }
+        assert!(Runner::with_threads(4).run(0, |i| i).is_empty());
     }
 
     #[test]

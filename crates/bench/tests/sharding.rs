@@ -24,7 +24,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn spec(runner: Runner, out: &std::path::Path) -> RunSpec {
-    RunSpec { mode: Mode::Quick, runner, out_dir: Some(out.to_path_buf()), tau_jitter: 0 }
+    RunSpec { mode: Mode::Quick, runner, out_dir: Some(out.to_path_buf()) }
 }
 
 #[test]
@@ -90,7 +90,7 @@ fn single_unit_experiments_round_robin_across_shards() {
     let mut owners = Vec::new();
     let mut base = 0usize;
     for exp in &selection {
-        let total = (exp.units)(Mode::Quick);
+        let total = exp.units;
         for k in 0..2 {
             let runner = Runner::sequential().with_shard(Shard::new(k, 2));
             if !runner.owned_units(base, total).is_empty() {
@@ -107,7 +107,7 @@ fn shard_unit_slices_partition_every_experiment() {
     // For every registered experiment and several shard counts, the
     // owned-unit slices are disjoint and cover 0..units.
     for exp in registry::registry() {
-        let total = (exp.units)(Mode::Quick);
+        let total = exp.units;
         for n in [1usize, 2, 3, 5] {
             let mut seen = Vec::new();
             for k in 0..n {
@@ -122,11 +122,7 @@ fn shard_unit_slices_partition_every_experiment() {
 
 /// Run the `all` binary with `args` and return its captured output.
 fn all(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_all"))
-        .args(args)
-        .env_remove("SMACK_BENCH_THREADS")
-        .output()
-        .expect("spawning the all binary")
+    Command::new(env!("CARGO_BIN_EXE_all")).args(args).output().expect("spawning the all binary")
 }
 
 /// Like [`all`], but the run must succeed; returns its stdout.
@@ -186,13 +182,9 @@ fn all_binary_names_missing_shard_dirs_and_bad_thread_counts() {
     assert!(!out.status.success(), "merging a missing directory must fail");
     assert!(stderr.contains(&typo), "error must name the missing directory: {stderr}");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_all"))
-        .args(["fig1", "--out", &empty])
-        .env("SMACK_BENCH_THREADS", "abc")
-        .output()
-        .expect("spawning the all binary");
+    let out = all(&["fig1", "--threads", "abc", "--out", &empty]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "bad SMACK_BENCH_THREADS exits 2: {stderr}");
-    assert!(stderr.contains("SMACK_BENCH_THREADS") && stderr.contains("`abc`"), "{stderr}");
+    assert_eq!(out.status.code(), Some(2), "bad --threads exits 2: {stderr}");
+    assert!(stderr.contains("--threads") && stderr.contains("`abc`"), "{stderr}");
     let _ = fs::remove_dir_all(&root);
 }

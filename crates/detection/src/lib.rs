@@ -13,6 +13,12 @@
 //! (`MACHINE_CLEARS.SMC` & friends), which separate almost perfectly —
 //! except for false positives on the `amg`-like self-modifying benign
 //! workload, exactly as the paper reports.
+//!
+//! Nothing here builds a machine: [`benign_windows`], [`attack_windows`]
+//! and [`collect_unit`] run on a caller-supplied machine in its cold
+//! start state. The harness checks one pooled session out per
+//! [`DatasetUnit`] of [`dataset_units`] and fans the units out through
+//! its runner (`smack_bench::experiments::detection_dataset`).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,7 +27,7 @@ use smack::oracle::{EvictionSet, OraclePage};
 use smack::probe::Prober;
 use smack_ml::{train_test_split, BinaryConfusion, KnnClassifier, Sample};
 use smack_uarch::{
-    Addr, CounterBank, Machine, MicroArch, NoiseConfig, PerfEvent, ProbeKind, SmcBehavior, ThreadId,
+    Addr, CounterBank, Machine, NoiseConfig, PerfEvent, ProbeKind, SmcBehavior, ThreadId,
 };
 use smack_victims::benign::BenignWorkload;
 
@@ -146,28 +152,13 @@ impl Default for DetectionConfig {
 }
 
 /// Collect counter windows while a benign workload runs on the worker
-/// thread and the monitor thread idles.
+/// thread and the monitor thread idles, on a machine in its cold start
+/// state (e.g. one checked out from a session pool).
 ///
 /// # Errors
 ///
 /// Returns a message on simulator errors.
 pub fn benign_windows(
-    arch: MicroArch,
-    workload: BenignWorkload,
-    cfg: &DetectionConfig,
-    seed: u64,
-) -> Result<Vec<CounterDelta>, String> {
-    let mut m = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    benign_windows_on(&mut m, workload, cfg)
-}
-
-/// [`benign_windows`] on a caller-supplied machine in its cold start state
-/// (e.g. one checked out from a session pool).
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn benign_windows_on(
     m: &mut Machine,
     workload: BenignWorkload,
     cfg: &DetectionConfig,
@@ -221,6 +212,13 @@ impl AttackLoop {
         v
     }
 
+    /// The probe class the loop measures with.
+    pub fn kind(&self) -> ProbeKind {
+        match self {
+            AttackLoop::PrimeProbe(k) | AttackLoop::FlushReload(k) => *k,
+        }
+    }
+
     /// Display name.
     pub fn name(&self) -> String {
         match self {
@@ -231,36 +229,19 @@ impl AttackLoop {
 }
 
 /// Collect counter windows while an attack loop runs on the monitor thread
-/// against a benign co-tenant on the worker thread.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn attack_windows(
-    arch: MicroArch,
-    attack: AttackLoop,
-    cfg: &DetectionConfig,
-    seed: u64,
-) -> Result<Vec<CounterDelta>, String> {
-    let mut m = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    attack_windows_on(&mut m, attack, cfg)
-}
-
-/// [`attack_windows`] on a caller-supplied machine in its cold start state
-/// (e.g. one checked out from a session pool).
+/// against a benign co-tenant on the worker thread, on a machine in its
+/// cold start state (e.g. one checked out from a session pool).
 ///
 /// # Errors
 ///
 /// Returns a message on simulator errors, including unsupported probe
 /// classes.
-pub fn attack_windows_on(
+pub fn attack_windows(
     m: &mut Machine,
     attack: AttackLoop,
     cfg: &DetectionConfig,
 ) -> Result<Vec<CounterDelta>, String> {
-    let kind = match attack {
-        AttackLoop::PrimeProbe(k) | AttackLoop::FlushReload(k) => k,
-    };
+    let kind = attack.kind();
     if m.profile().smc.get(kind) == SmcBehavior::Unsupported {
         return Err(format!("{} unsupported on {}", attack.name(), m.profile().arch));
     }
@@ -352,8 +333,8 @@ pub struct DetectionReport {
 
 /// One independent unit of the §6.1 dataset: a workload run plus its
 /// fixed seed. The unit list is the single source of truth for the
-/// dataset's composition and seeding, shared by the sequential
-/// [`collect_dataset`] and any parallel collector fanning the units out.
+/// dataset's composition and seeding; a collector checks out one machine
+/// per unit and runs [`collect_unit`] on it.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DatasetUnit {
     /// A benign-suite workload (label 0).
@@ -393,64 +374,26 @@ pub fn dataset_units() -> Vec<DatasetUnit> {
     units
 }
 
-/// Collect one unit's windows. `Ok(None)` means the unit's probe class
-/// is unsupported on this part (the paper's N/A attack rows).
+/// Collect one unit's windows on a machine created (or reset) with the
+/// unit's [`DatasetUnit::seed`] and `cfg.noise`, in its cold start state.
+/// `Ok(None)` means the unit's probe class is unsupported on this part
+/// (the paper's N/A attack rows).
 ///
 /// # Errors
 ///
-/// Returns a message on simulator errors in benign runs; attack-side
-/// unsupported-probe errors are folded into `Ok(None)`.
+/// Returns a message on simulator errors, benign or attack side.
 pub fn collect_unit(
-    arch: MicroArch,
-    unit: DatasetUnit,
-    cfg: &DetectionConfig,
-) -> Result<Option<Vec<CounterDelta>>, String> {
-    match unit {
-        DatasetUnit::Benign(w, seed) => benign_windows(arch, w, cfg, seed).map(Some),
-        DatasetUnit::Attack(a, seed) => Ok(attack_windows(arch, a, cfg, seed).ok()),
-    }
-}
-
-/// [`collect_unit`] on a caller-supplied machine in its cold start state:
-/// the machine must have been created (or reset) with the unit's
-/// [`DatasetUnit::seed`] and `cfg.noise` for the windows to match
-/// [`collect_unit`]'s bit-for-bit.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors in benign runs; attack-side
-/// unsupported-probe errors are folded into `Ok(None)`.
-pub fn collect_unit_on(
     m: &mut Machine,
     unit: DatasetUnit,
     cfg: &DetectionConfig,
 ) -> Result<Option<Vec<CounterDelta>>, String> {
     match unit {
-        DatasetUnit::Benign(w, _) => benign_windows_on(m, w, cfg).map(Some),
-        DatasetUnit::Attack(a, _) => Ok(attack_windows_on(m, a, cfg).ok()),
-    }
-}
-
-/// Build the full benign + attack window dataset.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn collect_dataset(
-    arch: MicroArch,
-    cfg: &DetectionConfig,
-) -> Result<(Vec<CounterDelta>, Vec<CounterDelta>), String> {
-    let mut benign = Vec::new();
-    let mut attacks = Vec::new();
-    for unit in dataset_units() {
-        let Some(windows) = collect_unit(arch, unit, cfg)? else { continue };
-        if unit.is_benign() {
-            benign.extend(windows);
-        } else {
-            attacks.extend(windows);
+        DatasetUnit::Benign(w, _) => benign_windows(m, w, cfg).map(Some),
+        DatasetUnit::Attack(a, _) if m.profile().smc.get(a.kind()) == SmcBehavior::Unsupported => {
+            Ok(None)
         }
+        DatasetUnit::Attack(a, _) => attack_windows(m, a, cfg).map(Some),
     }
-    Ok((benign, attacks))
 }
 
 /// Evaluate one feature set over a pre-collected dataset (80/20 split,
@@ -482,19 +425,24 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smack_uarch::MicroArch;
 
     fn small_cfg() -> DetectionConfig {
         DetectionConfig { window_cycles: 60_000, windows_per_run: 4, ..Default::default() }
+    }
+
+    /// A cold Cascade Lake machine under `cfg`'s noise model.
+    fn cascade_lake(cfg: &DetectionConfig, seed: u64) -> Machine {
+        Machine::with_noise(MicroArch::CascadeLake.profile(), cfg.noise, seed)
     }
 
     #[test]
     fn attack_windows_show_machine_clears() {
         let cfg = small_cfg();
         let w = attack_windows(
-            MicroArch::CascadeLake,
+            &mut cascade_lake(&cfg, 1),
             AttackLoop::PrimeProbe(ProbeKind::Store),
             &cfg,
-            1,
         )
         .unwrap();
         for d in &w {
@@ -506,11 +454,11 @@ mod tests {
     fn benign_windows_are_mostly_clear_free_except_amg() {
         let cfg = small_cfg();
         let quiet =
-            benign_windows(MicroArch::CascadeLake, BenignWorkload::StreamSum, &cfg, 2).unwrap();
+            benign_windows(&mut cascade_lake(&cfg, 2), BenignWorkload::StreamSum, &cfg).unwrap();
         for d in &quiet {
             assert_eq!(d.read(PerfEvent::MachineClearsSmc), 0);
         }
-        let amg = benign_windows(MicroArch::CascadeLake, BenignWorkload::Amg, &cfg, 3).unwrap();
+        let amg = benign_windows(&mut cascade_lake(&cfg, 3), BenignWorkload::Amg, &cfg).unwrap();
         let total: u64 = amg.iter().map(|d| d.read(PerfEvent::MachineClearsSmc)).sum();
         assert!(total > 0, "the amg workload self-modifies");
     }
@@ -526,20 +474,31 @@ mod tests {
         ]
         .iter()
         .enumerate()
-        .flat_map(|(i, w)| benign_windows(MicroArch::CascadeLake, *w, &cfg, 20 + i as u64).unwrap())
+        .flat_map(|(i, w)| {
+            benign_windows(&mut cascade_lake(&cfg, 20 + i as u64), *w, &cfg).unwrap()
+        })
         .collect();
         let attacks: Vec<CounterDelta> =
             [AttackLoop::PrimeProbe(ProbeKind::Store), AttackLoop::FlushReload(ProbeKind::Flush)]
                 .iter()
                 .enumerate()
                 .flat_map(|(i, a)| {
-                    attack_windows(MicroArch::CascadeLake, *a, &cfg, 30 + i as u64).unwrap()
+                    attack_windows(&mut cascade_lake(&cfg, 30 + i as u64), *a, &cfg).unwrap()
                 })
                 .collect();
         let smc = evaluate(FeatureSet::MachineClearsSmc, &benign, &attacks, 5);
         let llc = evaluate(FeatureSet::LlcMisses, &benign, &attacks, 5);
         assert!(smc.f1 >= 0.8, "smc F1 {}", smc.f1);
         assert!(smc.f1 >= llc.f1, "smc {} vs llc {}", smc.f1, llc.f1);
+    }
+
+    #[test]
+    fn unsupported_attack_units_are_skipped_not_failed() {
+        // Ivy Bridge has no clwb, so the Prime+iClwb unit is an N/A row.
+        let cfg = small_cfg();
+        let unit = DatasetUnit::Attack(AttackLoop::PrimeProbe(ProbeKind::Clwb), 1);
+        let mut m = Machine::with_noise(MicroArch::IvyBridge.profile(), cfg.noise, unit.seed());
+        assert_eq!(collect_unit(&mut m, unit, &cfg).map(|w| w.is_none()), Ok(true));
     }
 
     #[test]

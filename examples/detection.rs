@@ -5,15 +5,19 @@
 //!
 //! Run with: `cargo run --example detection`
 
-use smack_detection::{collect_dataset, evaluate, DetectionConfig, FeatureSet};
+use smack_bench::experiments::detection_dataset;
+use smack_bench::runner::Runner;
+use smack_detection::{evaluate, DetectionConfig, FeatureSet};
 use smack_uarch::MicroArch;
 
 fn main() {
     let cfg =
         DetectionConfig { window_cycles: 80_000, windows_per_run: 6, ..DetectionConfig::default() };
     println!("collecting counter windows (20 benign workloads + 12 attack loops)...");
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (benign, attacks) =
-        collect_dataset(MicroArch::CascadeLake, &cfg).expect("dataset collects");
+        detection_dataset(&Runner::with_threads(threads), MicroArch::CascadeLake, &cfg)
+            .expect("dataset collects");
     println!("{} benign windows, {} attack windows", benign.len(), attacks.len());
     println!();
     for fs in FeatureSet::ALL {

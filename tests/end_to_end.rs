@@ -102,18 +102,19 @@ fn detection_separates_attack_from_benign() {
         windows_per_run: 4,
         ..Default::default()
     };
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&scenario(MicroArch::CascadeLake, cfg.noise, 5));
     let benign = smack_detection::benign_windows(
-        MicroArch::CascadeLake,
+        session.machine(),
         smack_victims::BenignWorkload::MatMul,
         &cfg,
-        5,
     )
     .expect("benign windows");
+    session.renew(6);
     let attacks = smack_detection::attack_windows(
-        MicroArch::CascadeLake,
+        session.machine(),
         smack_detection::AttackLoop::PrimeProbe(ProbeKind::Store),
         &cfg,
-        6,
     )
     .expect("attack windows");
     let r = smack_detection::evaluate(
