@@ -3,11 +3,17 @@
 //! covert-channel transmissions must be bit-identical whether probe
 //! sequences retire through the fused engine pass ([`Tier::Fast`]) or
 //! per-step injection (both per-step tiers, which must never fuse).
-//! Channels run in sessions from [`Sessions::with_exec`], which puts the
-//! calibration machine on the same tier as the trial machine.
+//! Channels and the SRP monitors run in sessions from
+//! [`Sessions::with_exec`], which puts the calibration machine on the same
+//! tier as the trial machine.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use smack::channel::run_channel_in;
+use smack::srp::{self, SrpAttackConfig};
 use smack::{calibrate_with_cold, ChannelSpec, Prober, Scenario, Sessions};
+use smack_crypto::Bignum;
+use smack_mastik::MastikMonitor;
 use smack_uarch::{
     Addr, ExecConfig, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
     Tier,
@@ -76,9 +82,9 @@ fn measure_all_kinds(m: &mut Machine) -> Vec<(ProbeKind, u64, u64)> {
 fn prober_measurements_match_per_step_for_all_kinds() {
     let mut fused = machine(Tier::Fast);
     let a = measure_all_kinds(&mut fused);
-    // Every class but Execute (whose timed call cannot fuse) took the
-    // fast path; the per-step machines never did.
-    assert_eq!(fast_path_count(&fused), (ProbeKind::ALL.len() as u64 - 1) * 3);
+    // Every class took the fast path (Execute's callee is a `nop*; ret`
+    // oracle line); the per-step machines never did.
+    assert_eq!(fast_path_count(&fused), ProbeKind::ALL.len() as u64 * 3);
     for tier in PER_STEP {
         let mut stepped = machine(tier);
         let b = measure_all_kinds(&mut stepped);
@@ -162,4 +168,51 @@ fn covert_channel_reports_identical_under_fusion() {
             assert_eq!(stepped, 0, "{}: {tier:?} took a fused path", spec.name());
         }
     }
+}
+
+/// The co-run shape of table2: the SRP victim runs on the sibling thread
+/// while Prime+iStore and then the Mastik baseline sample it, under the
+/// noisy model. Samples must be identical on every tier, and on
+/// [`Tier::Fast`] every probe, call and wait must fuse beside the running
+/// victim — a guard that quietly stops co-run fusion fails here.
+#[test]
+fn srp_co_run_samples_identical_and_fully_fused() {
+    const GROUP: usize = 1024;
+    let mut rng = SmallRng::seed_from_u64(0x7b);
+    let b = Bignum::random_bits(&mut rng, 160);
+    let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(GROUP) };
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(5);
+    // (Prime+iStore samples, Mastik samples, fast-path and fallback counts)
+    let run = |tier| {
+        let sessions = Sessions::with_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
+        let mut session = sessions.session(&scenario);
+        let smc = srp::single_trace_attack_in(&mut session, &b, &cfg).unwrap().samples;
+        let mut counts = sim_counts(session.machine());
+        session.renew(5);
+        let m = session.machine();
+        let victim = srp::build_victim(GROUP, b.bit_len());
+        m.load_program(&victim.program);
+        let mut monitor = MastikMonitor::new(m, T0, 0x0a50_0000, victim.mul_set, 600).unwrap();
+        let sampler = |m: &mut Machine| monitor.sample(m).map_err(|e| e.to_string());
+        let mastik = srp::collect_events(m, &victim, &b, sampler, 10_000).unwrap();
+        let (fast, fallback) = sim_counts(m);
+        counts = (counts.0 + fast, counts.1 + fallback);
+        (smc, mastik, counts)
+    };
+    let (smc, mastik, (fast, fallback)) = run(Tier::Fast);
+    assert!(smc.len() > 100 && mastik.len() > 100, "{} / {} samples", smc.len(), mastik.len());
+    assert!(fast > 0);
+    assert_eq!(fallback, 0, "a co-run probe, call or wait fell back to per-step");
+    for tier in PER_STEP {
+        let (s, m, (fast, _)) = run(tier);
+        assert_eq!(s, smc, "Prime+iStore samples diverged under {tier:?}");
+        assert_eq!(m, mastik, "Mastik samples diverged under {tier:?}");
+        assert_eq!(fast, 0, "{tier:?} took a fused path");
+    }
+}
+
+/// The attacker thread's `(SimProbeFastPath, SimProbeFallback)` counts.
+fn sim_counts(m: &Machine) -> (u64, u64) {
+    let c = m.counters(T0);
+    (c.read(PerfEvent::SimProbeFastPath), c.read(PerfEvent::SimProbeFallback))
 }

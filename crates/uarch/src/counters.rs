@@ -66,17 +66,21 @@ pub enum PerfEvent {
     /// [`patch_code`]: crate::engine::Engine::patch_code
     /// [`patch`]: crate::decoded::DecodedProgram::patch
     SimPatchRecompiles,
-    /// Probe sequences retired through the fused probe tier
-    /// ([`run_fused_probe`]). Not a hardware event: together with
-    /// [`SimProbeFallback`] it makes the fused-vs-per-step probe rate
+    /// Probe sequences and attacker calls retired through the fused
+    /// attacker tier ([`run_fused_probe`], [`run_fused_call`]), with or
+    /// without a running sibling. Not a hardware event: together with
+    /// [`SimProbeFallback`] it makes the fused-vs-per-step rate
     /// observable in tests and the engine bench.
     ///
     /// [`run_fused_probe`]: crate::engine::Engine::run_fused_probe
+    /// [`run_fused_call`]: crate::engine::Engine::run_fused_call
     /// [`SimProbeFallback`]: PerfEvent::SimProbeFallback
     SimProbeFastPath,
-    /// Probe sequences that the fused tier refused (guards tripped:
-    /// sibling runnable, tracing/fetch-log enabled, speculation live, or
-    /// a per-step tier) and that fell back to per-step execution.
+    /// Probe sequences and attacker calls that the fused tier refused
+    /// (guards tripped: a per-step tier, the attacker thread running a
+    /// program, tracing/fetch-log enabled, speculation live, or a callee
+    /// that is not a one-line `nop*; ret` routine) and that fell back to
+    /// per-step execution.
     SimProbeFallback,
 }
 

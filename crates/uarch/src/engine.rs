@@ -333,9 +333,11 @@ impl Default for ExecConfig {
 /// [`Engine::run_fused_probe`] can retire the whole sequence in one
 /// specialized pass instead of five injected-instruction round trips.
 ///
-/// `compile` returns `None` for sequences whose timed operation the fused
-/// tier does not model (notably `Execute` probes, whose `call` enters the
-/// victim program); those keep running per-step.
+/// The timed operation is a memory or cache-control op, or the `Execute`
+/// probe's `call *reg`, whose callee must then be a one-line `nop*; ret`
+/// routine at run time (checked per probe; other callees run per-step).
+/// `compile` returns `None` for any other shape; those keep running
+/// per-step.
 #[derive(Copy, Clone, Debug)]
 pub struct CompiledProbe {
     /// The original five-instruction sequence — the per-step fallback
@@ -352,7 +354,9 @@ pub struct CompiledProbe {
 impl CompiledProbe {
     /// Recognize the probe template, or `None` when the sequence must run
     /// per-step. The middle-op whitelist is exactly the set of operations
-    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `execute`.
+    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `execute`,
+    /// plus `call *reg` when the opening `rdtsc` leaves `reg` alone (the
+    /// fused pass reads the call target up front).
     pub fn compile(instrs: &[Instr; 5]) -> Option<CompiledProbe> {
         let (t_start, t_end) = match (instrs[0], instrs[1], instrs[3], instrs[4]) {
             (Instr::Mfence, Instr::Rdtsc { dst: a }, Instr::Mfence, Instr::Rdtsc { dst: b }) => {
@@ -370,6 +374,7 @@ impl CompiledProbe {
             | Instr::Clwb { .. }
             | Instr::PrefetchT0 { .. }
             | Instr::PrefetchNta { .. } => {}
+            Instr::CallReg { target } if target != t_start => {}
             _ => return None,
         }
         Some(CompiledProbe { instrs: *instrs, t_start, t_end, op })
@@ -381,11 +386,24 @@ impl CompiledProbe {
     }
 }
 
+/// Instruction budget of one machine-level run (a call driven to idle, or
+/// one sibling catch-up): generous, but bounded so that buggy victims fail
+/// loudly with [`StepError::StepLimit`] instead of hanging the harness.
+pub(crate) const STEP_BUDGET: u64 = 500_000_000;
+
+/// Cycles per injected `Delay` when an idle wait runs per-step (see
+/// [`Engine::advance_idle`]).
+pub(crate) const DELAY_CHUNK: u32 = 200;
+
 /// Slots in the direct-mapped [`Engine::call_shape`] memo table.
 const CALL_SHAPE_SLOTS: usize = 64;
 
 /// Empty call-shape slot (`u64::MAX` is never a decodable call target).
 const EMPTY_SHAPE: (u64, u64, u64, u32) = (u64::MAX, 0, 0, 0);
+
+/// The fused-call shape of a one-line `nop*; ret` routine: `(nops, ret_pc,
+/// ret_idx)`.
+type CallShape = (u64, u64, u32);
 
 /// Largest batch [`Engine::run_fused_calls`] fuses in one pass — an
 /// eviction set's way count with headroom.
@@ -416,12 +434,6 @@ pub struct Engine {
     /// Bumped whenever the decoded table changes (load / patch / reset),
     /// invalidating `call_shapes`.
     decode_gen: u64,
-    /// Upper bound on the cycle cost of any fused probe's pre-timer body
-    /// (opening `mfence` sans drain, `rdtsc`, and the worst-case middle
-    /// op). Precomputed from the immutable profile; `run_fused_probe`
-    /// compares it against the noise schedule to decide whether the five
-    /// per-instruction eviction draws can be coalesced into one.
-    probe_op_bound: u64,
     mem: Memory,
     hier: CacheHierarchy,
     itlb: [Tlb; 2],
@@ -443,20 +455,6 @@ impl Engine {
         let hier = CacheHierarchy::new(profile.hierarchy);
         let itlb = [Tlb::new(profile.itlb_entries), Tlb::new(profile.itlb_entries)];
         let dtlb = [Tlb::new(profile.dtlb_entries), Tlb::new(profile.dtlb_entries)];
-        let worst_op = ProbeKind::ALL
-            .iter()
-            .map(|k| {
-                let c = profile.probe_costs.get(*k);
-                let extra = c.l1d.max(c.l2).max(c.llc).max(c.dram).max(c.smc_extra);
-                (c.base + extra) as u64
-            })
-            .max()
-            .unwrap_or(0);
-        let probe_op_bound = profile.mfence_cost as u64
-            + profile.rdtsc_cost as u64
-            + 1
-            + profile.tlb_walk as u64
-            + worst_op;
         Engine {
             threads: [Thread::new(), Thread::new()],
             code: Program::default(),
@@ -465,7 +463,6 @@ impl Engine {
             call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
             call_shapes_gen: 0,
             decode_gen: 0,
-            probe_op_bound,
             mem: Memory::new(),
             hier,
             itlb,
@@ -860,29 +857,31 @@ impl Engine {
         Ok(steps)
     }
 
-    /// Step the sibling's program until it catches up with `tid`'s clock,
-    /// it stops running, or `max_steps` run out. The clock comparison is
-    /// re-evaluated every step because stepping the sibling can advance
-    /// `tid`'s clock too (a machine clear stalls the other thread).
-    ///
-    /// Returns the number of sibling steps executed.
+    /// Step the sibling's program until it is no longer strictly behind
+    /// `tid`'s clock or stops running — the catch-up per-step execution
+    /// runs before every injected instruction, and fused ops at every
+    /// instruction boundary where the sibling is behind. The clock
+    /// comparison is re-evaluated every step because stepping the sibling
+    /// can advance `tid`'s clock too (a machine clear stalls the other
+    /// thread).
     ///
     /// # Errors
     ///
-    /// Propagates [`StepError`] from the sibling's program.
-    pub fn catch_up(&mut self, tid: ThreadId, max_steps: u64) -> Result<u64, StepError> {
+    /// Propagates [`StepError`] from the sibling's program, and fails with
+    /// [`StepError::StepLimit`] when the sibling is still behind after
+    /// [`STEP_BUDGET`] steps.
+    pub fn catch_up_sibling(&mut self, tid: ThreadId) -> Result<(), StepError> {
         let sib = tid.sibling();
+        let behind =
+            |e: &Engine| e.t(sib).state == ThreadState::Running && e.t(sib).clock < e.t(tid).clock;
         let mut steps = 0u64;
-        while steps < max_steps
-            && self.t(sib).state == ThreadState::Running
-            && self.t(sib).clock < self.t(tid).clock
-        {
+        while steps < STEP_BUDGET && behind(self) {
             // The loop continues only while the sibling's clock stays
             // strictly below `tid`'s; superblock retirement on the sibling
             // may not overshoot that (fused ops never stall `tid`, so its
             // clock is stable across the batch).
             let slack = self.t(tid).clock - self.t(sib).clock - 1;
-            let fused = self.try_superblock(sib, max_steps - steps, slack);
+            let fused = self.try_superblock(sib, STEP_BUDGET - steps, slack);
             if fused > 0 {
                 steps += fused;
                 continue;
@@ -890,7 +889,10 @@ impl Engine {
             self.step(sib)?;
             steps += 1;
         }
-        Ok(steps)
+        if behind(self) {
+            return Err(StepError::StepLimit);
+        }
+        Ok(())
     }
 
     /// Try to retire a fused superblock on `tid`: up to `max_steps`
@@ -963,12 +965,24 @@ impl Engine {
             return 0;
         }
         // Even n = 2 must fit the first instruction's exact exec cost in the
-        // slack (the full guard only adds fetch pessimism on top), so this
-        // one prefix-sum lookup conservatively kills lockstep-tight calls.
-        if clock_slack < self.decoded.block_cost(idx, idx + 1) {
+        // slack, plus a worst-case fetch when the block opens on a new line
+        // — exactly the clock half of the full guard at n = 2 — so this
+        // kills lockstep-tight calls (a sibling catching up a few cycles at
+        // a time) before the cold guard's search.
+        let opens_line = self.threads[tid.index()].last_fetch_line != self.decoded.get(idx).line;
+        let first =
+            self.decoded.block_cost(idx, idx + 1) + if opens_line { self.worst_fetch() } else { 0 };
+        if clock_slack < first {
             return 0;
         }
         self.superblock_cold(tid, idx, run_end, max_steps, clock_slack)
+    }
+
+    /// Worst-case cycles a single line fetch can cost: full iTLB walk plus
+    /// a DRAM-serviced instruction fetch.
+    #[inline]
+    fn worst_fetch(&self) -> u64 {
+        self.profile.tlb_walk as u64 + self.hier.config().ifetch_extra_dram as u64
     }
 
     /// Cold half of [`Engine::try_superblock`]: full guard evaluation and the
@@ -985,10 +999,7 @@ impl Engine {
     ) -> u64 {
         let t = &self.threads[tid.index()];
         let avail = u64::from(run_end - idx).min(max_steps);
-        // Worst-case cycles a single line fetch can cost: full iTLB walk
-        // plus a DRAM-serviced instruction fetch.
-        let worst_fetch =
-            self.profile.tlb_walk as u64 + self.hier.config().ifetch_extra_dram as u64;
+        let worst_fetch = self.worst_fetch();
         let init_fetch = u64::from(t.last_fetch_line != self.decoded.get(idx).line);
         let noise_budget = self.noise.cycles_to_next_eviction();
         // Predicate: retiring `n` instructions keeps every guard intact.
@@ -1211,139 +1222,186 @@ impl Engine {
         }
     }
 
+    /// The guard every fused entry shares: the [`Tier::Fast`] tier, `tid`
+    /// idle (it runs injected attacker code), no live speculation on it,
+    /// and neither tracing nor fetch logging (both observe per-step
+    /// execution). A running sibling is no reason to refuse: fused ops
+    /// interleave it exactly as per-step execution does (see
+    /// [`Engine::sync_sibling`]).
+    fn fusable(&self, tid: ThreadId) -> bool {
+        let t = self.t(tid);
+        self.exec.tier == Tier::Fast
+            && t.state != ThreadState::Running
+            && t.spec.is_none()
+            && !self.tracer.is_enabled()
+            && self.fetch_log.is_none()
+    }
+
+    /// Count a refused fused attempt; the caller runs it per-step.
+    fn refuse<T>(&mut self, tid: ThreadId) -> Option<T> {
+        self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
+        None
+    }
+
+    /// Count `n` fused attempts and report the op's outcome since `start`.
+    fn fused_done(&mut self, tid: ThreadId, start: u64, n: u64) -> SeqOutcome {
+        let t = self.t_mut(tid);
+        t.counters.add(PerfEvent::SimProbeFastPath, n);
+        SeqOutcome { cycles: t.clock - start, end_clock: t.clock }
+    }
+
+    /// An instruction boundary of a fused op. When the sibling is running
+    /// and strictly behind `tid` — exactly when per-step execution would
+    /// step the sibling next ([`Engine::catch_up_sibling`] before each
+    /// injected instruction, [`Engine::run_burst`]'s causal pick inside a
+    /// call) — settle the deferred noise draw so the sibling's draws see
+    /// the schedule per-step execution leaves, then run that same
+    /// catch-up. Otherwise this is a no-op and the fused op runs on: the
+    /// sibling's clock is the horizon.
+    #[inline]
+    fn sync_sibling(&mut self, tid: ThreadId, debt: &mut u64) -> Result<(), StepError> {
+        let sib = self.t(tid.sibling());
+        if sib.state == ThreadState::Running && sib.clock < self.t(tid).clock {
+            self.settle(debt);
+            self.catch_up_sibling(tid)?;
+        }
+        Ok(())
+    }
+
     /// Retire a whole compiled probe sequence in one specialized pass: the
     /// fused probe tier. Returns `None` (after bumping `SimProbeFallback`)
-    /// when a guard requires per-step execution — the caller then injects
-    /// `probe.instrs()` one instruction at a time — and `Some(outcome)`
-    /// with the same `SeqOutcome` five `exec_injected` calls would have
-    /// produced.
+    /// when a guard, or an `Execute` probe's callee shape, requires
+    /// per-step execution — the caller then injects `probe.instrs()` one
+    /// instruction at a time — and `Some(outcome)` with the same
+    /// `SeqOutcome` per-step injection would have produced.
     ///
-    /// Bit-identical to per-step injection by construction: each of the
-    /// five instructions is replicated from the corresponding `execute` arm
+    /// Bit-identical to per-step injection by construction: each
+    /// instruction is replicated from the corresponding `execute` arm
     /// (same cost formulas, counter bumps, hierarchy calls and noise-draw
-    /// order; the equivalence proptests lock this). What fusion saves is
-    /// the per-instruction machine/engine round trip — injected-state
-    /// checks, sibling catch-up attempts and the outer dispatch — and,
-    /// when the noise schedule provably fires no eviction before the
-    /// closing `rdtsc`, the five per-instruction `evictions_for` draws,
-    /// coalesced into one exact batched draw (see the body).
+    /// order; the equivalence proptests lock this), and a running sibling
+    /// is caught up at exactly the boundaries where per-step execution
+    /// catches it up ([`Engine::sync_sibling`]). What fusion saves is the
+    /// per-instruction machine/engine round trip — injected-state checks,
+    /// the outer dispatch, per-step decoding of an `Execute` probe's
+    /// callee — and, between sibling steps, the eviction draws of
+    /// instructions that provably fire none ([`Engine::charge`]).
     ///
-    /// Guards (any one forces fallback): a per-step [`Tier`], this thread or
-    /// the sibling runnable (an interleaved sibling could observe
-    /// intermediate hierarchy/clock state), live speculation, tracing, or
-    /// fetch logging. There is no pending-SMC state to guard separately:
-    /// a probe whose store/flush conflicts with the front-end takes the
-    /// machine clear *inside* `probe_effects`, identically on both paths.
+    /// Guards: see [`Engine::fusable`]. There is no pending-SMC state to
+    /// guard separately: a probe whose store/flush conflicts with the
+    /// front-end takes the machine clear *inside* `probe_effects`,
+    /// identically on both paths.
     ///
     /// # Errors
     ///
     /// `Some(Err(_))` propagates the middle operation's error (e.g. an
-    /// [`StepError::Unsupported`] probe class) with the same partial state
-    /// per-step execution leaves behind.
+    /// [`StepError::Unsupported`] probe class) or the sibling's, with the
+    /// same partial state per-step execution leaves behind.
     pub fn run_fused_probe(
         &mut self,
         tid: ThreadId,
         probe: &CompiledProbe,
     ) -> Option<Result<SeqOutcome, StepError>> {
-        let sib = tid.sibling();
-        if self.exec.tier != Tier::Fast
-            || self.t(tid).state == ThreadState::Running
-            || self.t(sib).state == ThreadState::Running
-            || self.t(tid).spec.is_some()
-            || self.tracer.is_enabled()
-            || self.fetch_log.is_some()
-        {
-            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-            return None;
+        if !self.fusable(tid) {
+            return self.refuse(tid);
         }
+        let call = match probe.op {
+            Instr::CallReg { target } => {
+                let dest = self.reg(tid, target);
+                match self.call_shape(dest) {
+                    Some(shape) => Some((dest, shape)),
+                    None => return self.refuse(tid),
+                }
+            }
+            _ => None,
+        };
         let start = self.t(tid).clock;
-        // Injected code executes from elsewhere; see `exec_injected`.
-        self.t_mut(tid).last_fetch_line = u64::MAX;
-        // Per-step, the RNG draw order is E(c1) J1 E(c2) E(c3) E(c4) J2
-        // E(c5): an `evictions_for` draw per instruction interleaved with
-        // the two `rdtsc` jitter draws. When E(c1)..E(c4) provably yield
-        // zero evictions, the whole prefix collapses into the final draw —
-        // `evictions_for` is exactly partition-invariant, the zero draws
-        // touch no RNG state, and any eviction from E(c5) lands after J2
-        // on both paths. `c1..c3` are bounded up front (`wait1` is exact,
-        // the rest by `probe_op_bound`); `c4`'s drain of a Load's pending
-        // DRAM fill is re-checked exactly once the op's cost is known.
-        let wait1 = self.t(tid).pending_mem.saturating_sub(start);
-        if wait1 + self.probe_op_bound < self.noise.cycles_to_next_eviction() {
-            let mut acc = 0u64;
-            self.fused_mfence(tid, Some(&mut acc));
-            self.fused_rdtsc(tid, probe.t_start, Some(&mut acc));
-            if let Err(e) = self.fused_probe_op(tid, &probe.op, Some(&mut acc)) {
-                // Per-step execution skips the failing op's noise epilogue
-                // but has drawn E(c1) and E(c2) — both provably zero here;
-                // one batched call advances the schedule identically.
-                let _ = self.noise.evictions_for(acc);
-                return Some(Err(e));
-            }
-            let pre = acc;
-            self.fused_mfence(tid, Some(&mut acc));
-            if acc < self.noise.cycles_to_next_eviction() {
-                self.fused_rdtsc(tid, probe.t_end, Some(&mut acc));
-                let evictions = self.noise.evictions_for(acc);
-                self.apply_evictions(evictions);
-            } else {
-                // Rare: draining the op's pending memory at the closing
-                // `mfence` crossed the eviction boundary. Settle the
-                // deferred draws in per-step order: E(c1+c2+c3) is zero by
-                // the up-front bound, E(c4) fires, then J2 and E(c5).
-                let _ = self.noise.evictions_for(pre);
-                let evictions = self.noise.evictions_for(acc - pre);
-                self.apply_evictions(evictions);
-                self.fused_rdtsc(tid, probe.t_end, None);
-            }
-        } else {
-            // An eviction is due within the probe: keep the per-
-            // instruction draw interleaving.
-            self.fused_mfence(tid, None);
-            self.fused_rdtsc(tid, probe.t_start, None);
-            if let Err(e) = self.fused_probe_op(tid, &probe.op, None) {
-                return Some(Err(e));
-            }
-            self.fused_mfence(tid, None);
-            self.fused_rdtsc(tid, probe.t_end, None);
-        }
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
-        let end_clock = self.t(tid).clock;
-        Some(Ok(SeqOutcome { cycles: end_clock - start, end_clock }))
+        let mut debt = 0;
+        let res = self.fused_probe_body(tid, probe, call, &mut debt);
+        self.settle(&mut debt);
+        Some(res.map(|()| self.fused_done(tid, start, 1)))
     }
 
-    /// Skip `cycles` idle cycles in one batched update — the fused
-    /// replacement for injecting `Delay` chunks when nothing else can run.
-    /// Returns `false` (caller falls back to per-step chunking) when
-    /// either thread is runnable or the tier is not [`Tier::Fast`].
+    /// The five instructions of [`Engine::run_fused_probe`], each preceded
+    /// by its sibling sync point, plus the one after the last. An
+    /// `Execute` probe's `call *reg` retires nothing itself; its callee's
+    /// body runs in its place.
+    fn fused_probe_body(
+        &mut self,
+        tid: ThreadId,
+        probe: &CompiledProbe,
+        call: Option<(u64, CallShape)>,
+        debt: &mut u64,
+    ) -> Result<(), StepError> {
+        self.sync_sibling(tid, debt)?;
+        self.fused_mfence(tid, debt);
+        self.sync_sibling(tid, debt)?;
+        self.fused_rdtsc(tid, probe.t_start, debt);
+        match call {
+            Some((target, shape)) => self.fused_call_body(tid, target, shape, debt)?,
+            None => {
+                self.sync_sibling(tid, debt)?;
+                self.fused_probe_op(tid, &probe.op, debt)?;
+            }
+        }
+        self.sync_sibling(tid, debt)?;
+        self.fused_mfence(tid, debt);
+        self.sync_sibling(tid, debt)?;
+        self.fused_rdtsc(tid, probe.t_end, debt);
+        self.sync_sibling(tid, debt)
+    }
+
+    /// Skip `cycles` idle cycles in batched updates — the fused
+    /// replacement for injecting [`DELAY_CHUNK`]-cycle `Delay` chunks.
+    /// Returns `None` (caller falls back to per-step chunking) when a
+    /// guard refuses (see [`Engine::fusable`]).
     ///
-    /// Equivalent to the per-step path by construction: `Delay` draws no
-    /// `rdtsc` jitter, `evictions_for` is exactly partition-invariant, and
-    /// the chunked path retires `ceil(cycles / chunk)` delay instructions
-    /// of 200 cycles each with nothing observing state between chunks.
-    pub fn advance_idle(&mut self, tid: ThreadId, cycles: u64) -> bool {
-        if self.exec.tier != Tier::Fast
-            || self.t(tid).state == ThreadState::Running
-            || self.t(tid.sibling()).state == ThreadState::Running
-        {
-            return false;
+    /// Equivalent to the per-step path by construction: the chunks that
+    /// start while the sibling is idle or not behind `tid` need no
+    /// catch-up between them, so they retire as one batch — `Delay` draws
+    /// no `rdtsc` jitter, `evictions_for` is exactly partition-invariant,
+    /// and nothing observes state between those chunks. The sibling is
+    /// caught up before each batch and after the last, where per-step
+    /// execution catches it up.
+    ///
+    /// # Errors
+    ///
+    /// `Some(Err(_))` propagates the sibling's errors.
+    pub fn advance_idle(&mut self, tid: ThreadId, cycles: u64) -> Option<Result<(), StepError>> {
+        self.fusable(tid).then(|| self.fused_advance(tid, cycles))
+    }
+
+    fn fused_advance(&mut self, tid: ThreadId, cycles: u64) -> Result<(), StepError> {
+        const CHUNK: u64 = DELAY_CHUNK as u64;
+        // `fused_retire` draws each batch's evictions at once: no debt.
+        let debt = &mut 0;
+        let mut left = cycles;
+        while left > 0 {
+            self.sync_sibling(tid, debt)?;
+            // Chunk `j` of the batch starts `j * CHUNK` cycles in; it needs
+            // no catch-up while that start is not past the sibling's clock.
+            let sib = self.t(tid.sibling());
+            let horizon = match sib.state {
+                ThreadState::Running => sib.clock - self.t(tid).clock,
+                _ => u64::MAX,
+            };
+            let chunks = left.div_ceil(CHUNK).min(horizon / CHUNK + 1);
+            let run = left.min(chunks.saturating_mul(CHUNK));
+            let t = self.t_mut(tid);
+            t.last_fetch_line = u64::MAX;
+            t.counters.add(PerfEvent::InstRetired, chunks);
+            self.fused_retire(tid, run);
+            left -= run;
         }
-        if cycles == 0 {
-            return true;
-        }
-        let t = self.t_mut(tid);
-        t.last_fetch_line = u64::MAX;
-        t.counters.add(PerfEvent::InstRetired, cycles.div_ceil(200));
-        self.fused_retire(tid, cycles);
-        true
+        self.sync_sibling(tid, debt)
     }
 
     /// Retire an injected `call` of an attacker-owned one-line `nop*; ret`
     /// routine in one fused pass — the shape of every eviction-set way and
     /// oracle line, whose priming calls dominate a covert-channel trial's
-    /// injected-instruction count. Returns `None` (after bumping
-    /// `SimProbeFallback`) when a guard or the callee's shape requires
-    /// per-step execution; the caller then injects the `call` normally.
+    /// injected-instruction count: a one-target [`Engine::run_fused_calls`].
+    /// Returns `None` (after bumping `SimProbeFallback`) when a guard or
+    /// the callee's shape requires per-step execution; the caller then
+    /// injects the `call` normally.
     ///
     /// Bit-identical to per-step injection by construction:
     ///
@@ -1351,95 +1409,101 @@ impl Engine {
     ///   (`exec_injected` returns `EnterCall` before reaching `execute`), and
     ///   the return sentinel push/pop nets out; the thread ends idle with
     ///   `pc`/`pc_idx` parked at the `ret` — the exact per-step end state.
-    /// * The callee line is fetched once through the same
-    ///   `fetch_lines`/`fetch_effects` pair the per-step path uses (the
-    ///   injected-call reset of `last_fetch_line` forces that fetch on
-    ///   both paths), so iTLB, fetch-window, hit-level counter and stall
-    ///   effects match exactly.
+    /// * The callee line is fetched through the same hierarchy calls and
+    ///   `fetch_effects` the per-step path uses, whenever `last_fetch_line`
+    ///   says per-step would (once, unless a sibling machine clear resets
+    ///   the front end mid-call), so iTLB, fetch-window, hit-level counter
+    ///   and stall effects match.
     /// * `nop` (cost 1) and `ret` (cost 2, sentinel pop) draw no `rdtsc`
-    ///   jitter, so batching their noise epilogues into one
-    ///   `evictions_for` call is exact (partition invariance), and every
-    ///   eviction draw lands after the block's lone hierarchy access (the
-    ///   fetch) on both paths — no mid-block truncation guard needed.
-    pub fn run_fused_call(&mut self, tid: ThreadId, target: u64) -> Option<SeqOutcome> {
-        let sib = tid.sibling();
-        if self.exec.tier != Tier::Fast
-            || self.t(tid).state == ThreadState::Running
-            || self.t(sib).state == ThreadState::Running
-            || self.t(tid).spec.is_some()
-            || self.tracer.is_enabled()
-            || self.fetch_log.is_some()
-        {
-            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-            return None;
-        }
-        let Some((nops, ret_pc, ret_idx)) = self.call_shape(target) else {
-            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-            return None;
-        };
-        let line = Addr(target).line().0;
-        let start = self.t(tid).clock;
-        // The one front-end fetch of the callee line (the per-step path's
-        // first step after `begin_injected_call`).
-        let mut info = [COLD_ACCESS];
-        self.hier.fetch_lines(std::slice::from_ref(&line), &mut info);
-        let fetch_cost = self.fetch_effects(tid, line, info[0]);
-        let t = self.t_mut(tid);
-        t.clock += fetch_cost;
-        t.counters.add(PerfEvent::InstRetired, nops + 1);
-        t.pc = ret_pc;
-        t.pc_idx = ret_idx;
-        // `nops` cost-1 retirements plus the cost-2 `ret`, noise batched.
-        self.fused_retire(tid, nops + 2);
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
-        let end_clock = self.t(tid).clock;
-        Some(SeqOutcome { cycles: end_clock - start, end_clock })
+    ///   jitter, and a running sibling is synced before every one of them
+    ///   ([`Engine::fused_call_body`]).
+    ///
+    /// # Errors
+    ///
+    /// `Some(Err(_))` propagates the sibling's errors.
+    pub fn run_fused_call(
+        &mut self,
+        tid: ThreadId,
+        target: u64,
+    ) -> Option<Result<SeqOutcome, StepError>> {
+        self.run_fused_calls(tid, std::slice::from_ref(&target)).or_else(|| self.refuse(tid))
     }
 
     /// Retire a batch of injected calls to attacker-owned one-line
-    /// `nop*; ret` routines in one fused pass — `EvictionSet::prime`'s
-    /// eight way-calls land here as a single engine entry instead of
-    /// eight. Returns `None` (with *no* counter side effects) when any
-    /// guard, any callee's shape, or the noise schedule requires finer
-    /// granularity; the caller then runs the calls one at a time, each of
-    /// which may still fuse individually and counts its own fast-path or
-    /// fallback event.
+    /// `nop*; ret` routines in one fused pass (see
+    /// [`Engine::run_fused_call`]) — `EvictionSet::prime`'s eight
+    /// way-calls land here as a single engine entry instead of eight.
+    /// Returns `None` (with *no* counter side effects) when a guard
+    /// refuses or any callee's shape is not fusable; the caller then runs
+    /// the calls one at a time, each of which may still fuse individually
+    /// and counts its own fast-path or fallback event.
     ///
-    /// Exact beyond the single-call argument (see
-    /// [`Engine::run_fused_call`]): consecutive injected calls execute
-    /// back-to-back with nothing observing thread state between them; the
-    /// per-call hierarchy fetches keep their order inside one batched
-    /// `fetch_lines` (retirements between them touch no hierarchy state —
-    /// the schedule check guarantees zero evictions up to the last call);
-    /// and the per-call `evictions_for` draws, jitter-free and provably
-    /// zero, collapse into one batched draw by partition invariance.
-    pub fn run_fused_calls(&mut self, tid: ThreadId, targets: &[u64]) -> Option<SeqOutcome> {
-        let sib = tid.sibling();
-        if targets.is_empty()
-            || targets.len() > CALL_BATCH_MAX
-            || self.exec.tier != Tier::Fast
-            || self.t(tid).state == ThreadState::Running
-            || self.t(sib).state == ThreadState::Running
-            || self.t(tid).spec.is_some()
-            || self.tracer.is_enabled()
-            || self.fetch_log.is_some()
-        {
+    /// When no sibling step can happen inside the batch and the noise
+    /// schedule fires no eviction in it, the calls retire with one batched
+    /// `fetch_lines` and one coalesced eviction draw: consecutive injected
+    /// calls execute back-to-back with nothing observing thread state
+    /// between them, the per-call hierarchy fetches keep their order
+    /// (retirements between them touch no hierarchy state), and the
+    /// per-call draws, jitter-free and provably zero, collapse into one by
+    /// partition invariance. Otherwise each call runs
+    /// [`Engine::fused_call_body`] with its sibling sync points.
+    ///
+    /// # Errors
+    ///
+    /// `Some(Err(_))` propagates the sibling's errors.
+    pub fn run_fused_calls(
+        &mut self,
+        tid: ThreadId,
+        targets: &[u64],
+    ) -> Option<Result<SeqOutcome, StepError>> {
+        if targets.is_empty() || targets.len() > CALL_BATCH_MAX || !self.fusable(tid) {
             return None;
         }
         let n = targets.len();
         let mut shapes = [(0u64, 0u64, 0u32); CALL_BATCH_MAX];
-        let mut lines = [0u64; CALL_BATCH_MAX];
-        let mut sum_instr = 0u64;
-        for (i, &target) in targets.iter().enumerate() {
-            let shape = self.call_shape(target)?;
-            shapes[i] = shape;
-            lines[i] = Addr(target).line().0;
-            sum_instr += shape.0 + 2;
+        for (slot, &target) in shapes.iter_mut().zip(targets) {
+            *slot = self.call_shape(target)?;
         }
-        if sum_instr >= self.noise.cycles_to_next_eviction() {
-            return None;
-        }
+        let shapes = &shapes[..n];
         let start = self.t(tid).clock;
+        // No sibling step can happen inside the batch when the sibling is
+        // idle, or ahead of the batch's worst-case end clock.
+        let sib = self.t(tid.sibling());
+        let unsynced = sib.state != ThreadState::Running || {
+            let worst: u64 = shapes.iter().map(|s| self.worst_fetch() + s.0 + 2).sum();
+            sib.clock.saturating_sub(start) >= worst
+        };
+        if unsynced && self.fused_calls_batched(tid, targets, shapes) {
+            return Some(Ok(self.fused_done(tid, start, n as u64)));
+        }
+        let mut debt = 0;
+        let res = targets
+            .iter()
+            .zip(shapes)
+            .try_for_each(|(&target, &shape)| self.fused_call_body(tid, target, shape, &mut debt))
+            .and_then(|()| self.sync_sibling(tid, &mut debt));
+        self.settle(&mut debt);
+        Some(res.map(|()| self.fused_done(tid, start, n as u64)))
+    }
+
+    /// The batched half of [`Engine::run_fused_calls`]: returns `false`,
+    /// touching nothing, when the noise schedule could fire an eviction
+    /// inside the batch.
+    fn fused_calls_batched(
+        &mut self,
+        tid: ThreadId,
+        targets: &[u64],
+        shapes: &[CallShape],
+    ) -> bool {
+        let n = targets.len();
+        let sum_instr: u64 = shapes.iter().map(|s| s.0 + 2).sum();
+        if sum_instr >= self.noise.cycles_to_next_eviction() {
+            return false;
+        }
+        let mut lines = [0u64; CALL_BATCH_MAX];
+        for (line, &target) in lines.iter_mut().zip(targets) {
+            *line = Addr(target).line().0;
+        }
         let mut infos = [COLD_ACCESS; CALL_BATCH_MAX];
         self.hier.fetch_lines(&lines[..n], &mut infos[..n]);
         for i in 0..n {
@@ -1453,12 +1517,51 @@ impl Engine {
         let t = self.t_mut(tid);
         t.pc = ret_pc;
         t.pc_idx = ret_idx;
-        t.counters.add(PerfEvent::SimProbeFastPath, n as u64);
         // Provably zero evictions; the one call advances the schedule
         // exactly as the per-call draws would.
         let _ = self.noise.evictions_for(sum_instr);
-        let end_clock = self.t(tid).clock;
-        Some(SeqOutcome { cycles: end_clock - start, end_clock })
+        true
+    }
+
+    /// Retire one injected call to a `nop*; ret` routine of `shape`
+    /// instruction by instruction: the per-step path's catch-up before the
+    /// injected `call`, then `begin_injected_call` + `drive_to_idle`,
+    /// whose burst loop makes the same causal pick — a sibling sync point
+    /// — before every callee step. On a sibling error mid-call the thread
+    /// is left with the call in flight, exactly as per-step execution
+    /// leaves it.
+    fn fused_call_body(
+        &mut self,
+        tid: ThreadId,
+        target: u64,
+        (nops, ret_pc, ret_idx): CallShape,
+        debt: &mut u64,
+    ) -> Result<(), StepError> {
+        self.sync_sibling(tid, debt)?;
+        // The `call` retires nothing; it only makes the front end refetch
+        // (see `exec_injected`).
+        self.t_mut(tid).last_fetch_line = u64::MAX;
+        let line = Addr(target).line().0;
+        for i in 0..=nops {
+            if let Err(e) = self.sync_sibling(tid, debt) {
+                let t = self.t_mut(tid);
+                t.state = ThreadState::Running;
+                t.stack.push(RETURN_SENTINEL);
+                t.pc = target + i * Instr::Nop.len();
+                t.pc_idx = NO_IDX;
+                return Err(e);
+            }
+            if self.t(tid).last_fetch_line != line {
+                self.fetch(tid, line);
+            }
+            self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
+            // `nop` costs one cycle, the sentinel-popping `ret` two.
+            self.charge(tid, if i < nops { 1 } else { 2 }, debt);
+        }
+        let t = self.t_mut(tid);
+        t.pc = ret_pc;
+        t.pc_idx = ret_idx;
+        Ok(())
     }
 
     /// Resolve (and memoize) the fused-call shape of the routine at
@@ -1467,7 +1570,7 @@ impl Engine {
     /// other opcodes, a line crossing, a decode hole left by a corrupting
     /// probe. Negative results are not memoized (they fall back to
     /// per-step execution, where one redundant walk is noise).
-    fn call_shape(&mut self, target: u64) -> Option<(u64, u64, u32)> {
+    fn call_shape(&mut self, target: u64) -> Option<CallShape> {
         if self.call_shapes_gen != self.decode_gen {
             self.call_shapes = [EMPTY_SHAPE; CALL_SHAPE_SLOTS];
             self.call_shapes_gen = self.decode_gen;
@@ -1506,23 +1609,23 @@ impl Engine {
         Some((nops, ret_pc, ret_idx))
     }
 
-    /// Fused-tier `mfence`: the `execute` arm plus injected-retirement
-    /// bookkeeping, with the clock/noise epilogue applied via
-    /// [`Engine::fused_charge`].
-    fn fused_mfence(&mut self, tid: ThreadId, deferred: Option<&mut u64>) {
+    /// Fused-tier `mfence`: the `execute` arm plus the injected-retirement
+    /// bookkeeping of `exec_injected`.
+    fn fused_mfence(&mut self, tid: ThreadId, debt: &mut u64) {
         let mfence_cost = self.profile.mfence_cost as u64;
         let t = self.t_mut(tid);
+        t.last_fetch_line = u64::MAX;
         t.counters.add(PerfEvent::InstRetired, 1);
         let wait = t.pending_mem.saturating_sub(t.clock);
         if wait > 0 {
             t.counters.add(PerfEvent::CycleActivityStallsTotal, wait);
         }
-        self.fused_charge(tid, wait + mfence_cost, deferred);
+        self.charge(tid, wait + mfence_cost, debt);
     }
 
     /// Fused-tier `rdtsc`. The jitter draw happens before the retire's
     /// eviction draw, matching per-step RNG order.
-    fn fused_rdtsc(&mut self, tid: ThreadId, dst: Reg, deferred: Option<&mut u64>) {
+    fn fused_rdtsc(&mut self, tid: ThreadId, dst: Reg, debt: &mut u64) {
         let cost = self.profile.rdtsc_cost as u64;
         let res = self.profile.tsc_resolution as u64;
         let jitter = self.noise.jitter();
@@ -1532,7 +1635,7 @@ impl Engine {
         let raw = (clock0 + cost).saturating_add_signed(jitter);
         t.regs[dst.index()] = (raw / res) * res;
         t.ready[dst.index()] = clock0 + cost;
-        self.fused_charge(tid, cost, deferred);
+        self.charge(tid, cost, debt);
     }
 
     /// Fused-tier timed middle operation: each arm replicates the
@@ -1540,11 +1643,13 @@ impl Engine {
     /// guards guarantee `spec.is_none()`). On error the partial state
     /// (retire counter, dTLB fills) matches per-step execution — the
     /// clock/noise epilogue is skipped exactly like `execute`'s early return.
+    /// The `Execute` probe's call never gets here (see
+    /// [`Engine::fused_call_body`]).
     fn fused_probe_op(
         &mut self,
         tid: ThreadId,
         op: &Instr,
-        deferred: Option<&mut u64>,
+        debt: &mut u64,
     ) -> Result<(), StepError> {
         self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
         let clock0 = self.t(tid).clock;
@@ -1622,34 +1727,50 @@ impl Engine {
                 }
                 cost += c;
             }
-            // `CompiledProbe::compile` whitelists the arms above.
+            // `CompiledProbe::compile` whitelists the arms above plus
+            // `CallReg`, which `fused_probe_body` routes elsewhere.
             _ => unreachable!("non-probe op in CompiledProbe"),
         }
-        self.fused_charge(tid, cost, deferred);
+        self.charge(tid, cost, debt);
         Ok(())
     }
 
-    /// Charge `cost` cycles; with `deferred` the noise epilogue is left to
-    /// the caller's one batched draw (sound only under
-    /// [`Engine::run_fused_probe`]'s no-eviction guard), without it the
-    /// per-instruction epilogue applies via [`Engine::fused_retire`].
-    fn fused_charge(&mut self, tid: ThreadId, cost: u64, deferred: Option<&mut u64>) {
-        match deferred {
-            Some(acc) => {
-                self.t_mut(tid).clock += cost;
-                *acc += cost;
-            }
-            None => self.fused_retire(tid, cost),
+    /// Charge one retired instruction's `cost` cycles and its noise
+    /// epilogue (`execute`'s last four lines), deferring the eviction draw
+    /// into `debt` while the deferred total provably fires none. A zero
+    /// draw touches no RNG or hierarchy state, and `evictions_for` is
+    /// exactly partition-invariant, so the draw that does fire — for the
+    /// deferred total plus this instruction — lands right after this
+    /// instruction with the per-step count, as does every `rdtsc` jitter
+    /// draw in between. Only the schedule's progress is deferred, so it
+    /// must be settled ([`Engine::settle`]) before anything else draws.
+    #[inline]
+    fn charge(&mut self, tid: ThreadId, cost: u64, debt: &mut u64) {
+        self.t_mut(tid).clock += cost;
+        *debt += cost;
+        if *debt >= self.noise.cycles_to_next_eviction() {
+            self.draw_debt(debt);
         }
     }
 
-    /// Charge `cost` cycles and apply the per-instruction noise epilogue
-    /// (`execute`'s last four lines). Callers either invoke this once per
-    /// instruction (interleaving eviction draws with `rdtsc` jitter draws
-    /// in per-step order) or batch several instructions' costs into one
-    /// call where that is provably exact: `evictions_for` is partition-
-    /// invariant, so batching is sound whenever no deferred segment's
-    /// draws would interleave with a jitter draw or hierarchy access.
+    /// The draw [`Engine::charge`] stops deferring: it fires.
+    #[cold]
+    #[inline(never)]
+    fn draw_debt(&mut self, debt: &mut u64) {
+        let evictions = self.noise.evictions_for(std::mem::take(debt));
+        self.apply_evictions(evictions);
+    }
+
+    /// Advance the noise schedule by the deferred `debt` (which provably
+    /// fires no eviction; see [`Engine::charge`]).
+    fn settle(&mut self, debt: &mut u64) {
+        let evictions = self.noise.evictions_for(std::mem::take(debt));
+        debug_assert_eq!(evictions, 0, "deferred draws never fire");
+    }
+
+    /// Charge `cost` cycles and apply the noise epilogue at once — for a
+    /// batch of instructions where that is provably exact: no sibling
+    /// step, `rdtsc` jitter draw or hierarchy access between them.
     fn fused_retire(&mut self, tid: ThreadId, cost: u64) {
         self.t_mut(tid).clock += cost;
         let evictions = self.noise.evictions_for(cost);

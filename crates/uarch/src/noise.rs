@@ -126,7 +126,8 @@ pub struct NoiseSource {
     /// Reduced schedule remainder; invariant `0 ≤ acc < den`.
     acc: u128,
     /// Cycles that may still elapse before the next eviction fires (a
-    /// lower bound clamped to `u64::MAX`; exact whenever it fits).
+    /// lower bound clamped to `u64::MAX`; exact whenever it fits, and
+    /// `u64::MAX` while the rate is zero).
     until_next: u64,
 }
 
@@ -222,12 +223,10 @@ impl NoiseSource {
     /// [`NoiseSource::evictions_for`] emits no eviction; feeding this many
     /// (or more) emits at least one. Returns `u64::MAX` when the eviction
     /// rate is zero (or the true distance exceeds `u64`). One field read —
-    /// the superblock scheduler consults this before every batched block.
+    /// the superblock scheduler and the fused attacker tier consult this
+    /// before every batched block and fused instruction.
     #[inline]
     pub fn cycles_to_next_eviction(&self) -> u64 {
-        if self.rate.is_none() {
-            return u64::MAX;
-        }
         self.until_next
     }
 

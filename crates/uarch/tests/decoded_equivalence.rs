@@ -299,7 +299,8 @@ proptest! {
 /// with fusion enabled must be bit-identical — registers, both clocks,
 /// memory, timings, and hardware counters — to the per-step injected
 /// sequence, across probe classes, cold placements, injected noise, waits,
-/// and mid-run SMC patches of the probed line.
+/// mid-run SMC patches of the probed line, and a co-running sibling
+/// program.
 mod fused_probes {
     use super::*;
     use smack_uarch::isa::{Instr, MemRef, MemSize};
@@ -326,10 +327,10 @@ mod fused_probes {
         a.assemble().expect("oracle assembles")
     }
 
-    /// The eight fusable probe operations (paper Listing 2 minus the
-    /// `Execute` probe, whose timed `call` cannot fuse).
+    /// The nine probe operations of paper Listing 2 (the `Execute` probe
+    /// fuses when its callee is a `nop*; ret` line).
     fn probe_op(op: u8) -> Instr {
-        match op % 8 {
+        match op % 9 {
             0 => Instr::Load { dst: Reg::R12, mem: MEM, size: MemSize::Quad },
             1 => Instr::StoreImm { mem: MEM, imm: 0x90 },
             2 => Instr::LockInc { mem: MEM },
@@ -337,8 +338,48 @@ mod fused_probes {
             4 => Instr::Clflushopt { mem: MEM },
             5 => Instr::Clwb { mem: MEM },
             6 => Instr::PrefetchT0 { mem: MEM },
-            _ => Instr::PrefetchNta { mem: MEM },
+            7 => Instr::PrefetchNta { mem: MEM },
+            _ => Instr::CallReg { target: Reg::R13 },
         }
+    }
+
+    /// The co-running sibling: a T1 loop over `lines` code lines in
+    /// `TARGET`'s L1i set (so it contends with the probed line) that loads
+    /// and stores data and stores into its own code line — SMC machine
+    /// clears that stall T0, while T0's write probes clear and stall T1.
+    /// It halts after `iters` iterations, so later actions also run beside
+    /// an idle sibling.
+    fn sibling(lines: u8, iters: u16) -> Program {
+        let stride = MicroArch::CascadeLake.profile().hierarchy.l1i.sets as u64 * 64;
+        let line = |k: u8| TARGET + u64::from(k) * stride;
+        let mut a = Assembler::new(line(1));
+        a.mov_imm(Reg::R8, DATA_BASE)
+            .mov_imm(Reg::R9, line(2))
+            .mov_imm(Reg::R0, 0)
+            .label("loop")
+            .add_imm(Reg::R0, 1)
+            .load(Reg::R2, MemRef::base(Reg::R8))
+            .store(Reg::R0, MemRef::disp(Reg::R8, 8))
+            .jmp("l2");
+        for k in 2..=lines {
+            a.org(line(k)).label(&format!("l{k}"));
+            if k == 2 {
+                a.store_imm(MemRef::base(Reg::R9), 0x90);
+            }
+            a.add(Reg::R3, Reg::R0);
+            if k == lines {
+                a.jmp("tail");
+            } else {
+                a.jmp(format!("l{}", k + 1));
+            }
+        }
+        a.org(line(lines + 1)).label("tail").cmp_imm(Reg::R0, u64::from(iters)).jne("loop").halt();
+        a.assemble().expect("sibling assembles")
+    }
+
+    /// The sibling axis: `lines < 2` runs no sibling.
+    fn sibling_strategy() -> impl Strategy<Value = (u8, u16)> {
+        (0u8..10, 1u16..400)
     }
 
     fn template(op: u8) -> [Instr; 5] {
@@ -379,7 +420,7 @@ mod fused_probes {
         // Probes twice, so roughly half the drawn actions are probes.
         // `place >= 5` means "leave the line where the last action put it".
         let probe = || {
-            (0u8..8, 0u8..8)
+            (0u8..9, 0u8..8)
                 .prop_map(|(op, place)| Action::Probe { op, place: (place < 5).then_some(place) })
         };
         prop_oneof![
@@ -398,10 +439,12 @@ mod fused_probes {
     #[derive(PartialEq, Debug)]
     struct ProbeOutcome {
         regs: Vec<u64>,
+        sibling_regs: Vec<u64>,
         clock_t0: u64,
         clock_t1: u64,
         timings: Vec<(u64, u64)>,
         mem: Vec<u8>,
+        data: Vec<u8>,
         hw_counters: Vec<(&'static str, u64)>,
         err: Option<String>,
     }
@@ -416,22 +459,29 @@ mod fused_probes {
     /// error. Returns the outcome, the `(fast_path, fallback)` counts, and
     /// the number of fuse-eligible attempts made (probes plus calls — each
     /// attempt bumps exactly one of the two counters, except a probe that
-    /// errors mid-body on the fused path, which bumps neither).
+    /// errors mid-body on the fused path, which bumps neither). With
+    /// `sib.0 >= 2`, the [`sibling`] program runs on T1 throughout.
     fn run_actions(
         actions: &[Action],
         oracle_kind: u8,
+        sib: (u8, u16),
         tier: Tier,
-        noise_seed: Option<u64>,
+        noise: Option<(NoiseConfig, u64)>,
     ) -> (ProbeOutcome, u64, u64, u64) {
         let profile = MicroArch::CascadeLake.profile();
-        let mut m = match noise_seed {
-            Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
+        let mut m = match noise {
+            Some((cfg, seed)) => Machine::with_noise(profile, cfg, seed),
             None => Machine::new(profile),
         };
         m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
         m.load_program(&oracle(oracle_kind));
         m.warm_tlb(T0, Addr(TARGET));
         m.set_reg(T0, Reg::R13, TARGET);
+        if sib.0 >= 2 {
+            let prog = sibling(sib.0, sib.1);
+            m.load_program(&prog);
+            m.start_program(T1, prog.entry(), &[]);
+        }
         let mut timings = Vec::new();
         let mut err = None;
         let mut attempts = 0u64;
@@ -478,10 +528,12 @@ mod fused_probes {
         let fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
         let outcome = ProbeOutcome {
             regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
+            sibling_regs: (0..Reg::COUNT).map(|i| m.reg(T1, Reg::from_index(i))).collect(),
             clock_t0: m.clock(T0),
             clock_t1: m.clock(T1),
             timings,
             mem: m.read_bytes(Addr(TARGET), 64),
+            data: m.read_bytes(Addr(DATA_BASE), 16),
             hw_counters,
             err,
         };
@@ -496,17 +548,19 @@ mod fused_probes {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Fused vs per-step probe execution over arbitrary interleavings
-        /// of probes, placements, waits, executes, and SMC patches.
+        /// of probes, placements, waits, executes, and SMC patches, with
+        /// and without a co-running sibling.
         #[test]
         fn prop_fused_probes_match_per_step(
             actions in proptest::collection::vec(action_strategy(), 1..40),
             oracle_kind in 0u8..3,
+            sib in sibling_strategy(),
         ) {
             let (fused, fused_fast, fused_fb, attempts) =
-                run_actions(&actions, oracle_kind, Tier::Fast, None);
+                run_actions(&actions, oracle_kind, sib, Tier::Fast, None);
             for tier in [Tier::Decoded, Tier::Reference] {
                 let (reference, ref_fast, ref_fb, _) =
-                    run_actions(&actions, oracle_kind, tier, None);
+                    run_actions(&actions, oracle_kind, sib, tier, None);
                 prop_assert_eq!(&fused, &reference, "fused probes diverged from {:?}", tier);
                 // On a per-step tier nothing fuses, and every attempt (probe
                 // or call) is refused up front, so it counts as a fallback
@@ -514,13 +568,18 @@ mod fused_probes {
                 prop_assert_eq!(ref_fast, 0);
                 prop_assert_eq!(ref_fb, attempts, "every attempt refused per-step");
             }
-            // With fusion on (both threads idle, no tracing) probes always
-            // fuse; only calls may fall back — and only when the routine's
-            // shape is not `nop*; ret` on one line. Every attempt bumps
+            // With fusion on (no tracing) probes always fuse, sibling or
+            // not; only calls and `Execute` probes may fall back — and only
+            // when the routine's shape is not `nop*; ret` on one line.
+            // Every attempt bumps
             // exactly one counter, except a probe erroring mid-body on the
             // fused path (it stops the run, so at most one is missing).
+            let execute_probes = actions
+                .iter()
+                .filter(|a| matches!(a, Action::Probe { op, .. } if op % 9 == 8))
+                .count() as u64;
             prop_assert!(
-                fused_fast >= probes_run(&fused),
+                fused_fast + execute_probes >= probes_run(&fused),
                 "fast {} < {} probes", fused_fast, probes_run(&fused)
             );
             let done = attempts - u64::from(fused.err.is_some());
@@ -532,24 +591,37 @@ mod fused_probes {
                 && actions.iter().all(|a| !matches!(a, Action::Patch(k) if k % 3 != 0));
             if always_fusable && fused.err.is_none() {
                 // `nop.nop.ret` is exactly the fusable call shape, so with
-                // fusion on *everything* takes the fast path.
+                // fusion on *everything* takes the fast path, even beside a
+                // running sibling.
                 prop_assert_eq!(fused_fb, 0, "fusable oracle never falls back");
                 prop_assert_eq!(fused_fast, attempts);
             }
         }
 
         /// Same equivalence under injected eviction noise: the fused tier
-        /// must draw per-instruction noise in exactly the per-step order.
+        /// must draw per-instruction noise in exactly the per-step order,
+        /// also against the co-running sibling's draws. The heavy rate
+        /// (one eviction per 20 cycles) lands evictions inside fused ops
+        /// and between them and sibling steps often enough that a draw
+        /// attributed to the wrong side of a sibling step shows.
         #[test]
         fn prop_fused_probes_match_under_noise(
             actions in proptest::collection::vec(action_strategy(), 1..30),
             oracle_kind in 0u8..3,
             seed in any::<u64>(),
+            heavy in any::<bool>(),
+            sib in sibling_strategy(),
         ) {
+            let cfg = if heavy {
+                NoiseConfig { timing_jitter: 12, evictions_per_kcycle: 50.0 }
+            } else {
+                NoiseConfig::realistic()
+            };
+            let noise = Some((cfg, seed));
             let (fused, fused_fast, fused_fb, attempts) =
-                run_actions(&actions, oracle_kind, Tier::Fast, Some(seed));
+                run_actions(&actions, oracle_kind, sib, Tier::Fast, noise);
             for tier in [Tier::Decoded, Tier::Reference] {
-                let (reference, ..) = run_actions(&actions, oracle_kind, tier, Some(seed));
+                let (reference, ..) = run_actions(&actions, oracle_kind, sib, tier, noise);
                 prop_assert_eq!(&fused, &reference, "fused probes diverged from {:?} under noise", tier);
             }
             let done = attempts - u64::from(fused.err.is_some());
@@ -560,12 +632,12 @@ mod fused_probes {
         }
     }
 
-    /// The compiler recognizes exactly the probe template shape: all eight
-    /// fusable operations compile, the `Execute` probe (timed `call`) and
-    /// malformed shapes do not.
+    /// The compiler recognizes exactly the probe template shape: all nine
+    /// operations compile, including the `Execute` probe's timed
+    /// `call *reg`; malformed shapes do not.
     #[test]
     fn compile_accepts_probe_templates_only() {
-        for op in 0..8u8 {
+        for op in 0..9u8 {
             let probe = CompiledProbe::compile(&template(op)).expect("fusable op compiles");
             assert_eq!(probe.instrs(), &template(op), "fallback sequence preserved");
         }
@@ -576,7 +648,13 @@ mod fused_probes {
             Instr::Mfence,
             Instr::Rdtsc { dst: Reg::R15 },
         ];
-        assert!(CompiledProbe::compile(&execute).is_none(), "timed call cannot fuse");
+        assert!(CompiledProbe::compile(&execute).is_some(), "timed call compiles");
+        let mut clobbered = execute;
+        clobbered[2] = Instr::CallReg { target: Reg::R14 };
+        assert!(
+            CompiledProbe::compile(&clobbered).is_none(),
+            "call target overwritten by the opening rdtsc"
+        );
         let mut no_fence = template(0);
         no_fence[0] = Instr::Nop;
         assert!(CompiledProbe::compile(&no_fence).is_none());
@@ -605,28 +683,48 @@ mod fused_probes {
         assert!(!m.take_trace().is_empty(), "per-step path left a trace");
     }
 
-    /// A runnable sibling also forces the per-step path: the sibling's
-    /// program must interleave by clock order through the probe.
+    /// A running sibling no longer forces the per-step path: the fused
+    /// probe catches the sibling up at each instruction boundary where
+    /// per-step execution would, and ends in the per-step tiers' state.
     #[test]
-    fn running_sibling_forces_fallback() {
-        let mut m = Machine::new(MicroArch::CascadeLake.profile());
-        m.load_program(&oracle(0));
-        let mut a = Assembler::new(0x50_0000);
-        a.mov_imm(Reg::R0, 0)
-            .label("loop")
-            .add_imm(Reg::R0, 1)
-            .cmp_imm(Reg::R0, 50_000)
-            .jne("loop")
-            .halt();
-        let sibling = a.assemble().unwrap();
-        m.load_program(&sibling);
-        m.start_program(T1, sibling.entry(), &[]);
-        m.set_reg(T0, Reg::R13, TARGET);
-        let probe = CompiledProbe::compile(&template(1)).unwrap();
-        m.run_probe(T0, &probe).unwrap();
-        assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFastPath), 0);
-        assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFallback), 1);
-        assert!(m.clock(T1) > 0, "sibling interleaved during the probe");
+    fn running_sibling_fuses_and_interleaves() {
+        let run = |tier: Tier| {
+            let mut m = Machine::new(MicroArch::CascadeLake.profile());
+            m.set_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
+            m.load_program(&oracle(0));
+            let mut a = Assembler::new(0x50_0000);
+            a.mov_imm(Reg::R0, 0)
+                .label("loop")
+                .add_imm(Reg::R0, 1)
+                .cmp_imm(Reg::R0, 50_000)
+                .jne("loop")
+                .halt();
+            let sibling = a.assemble().unwrap();
+            m.load_program(&sibling);
+            m.start_program(T1, sibling.entry(), &[]);
+            m.set_reg(T0, Reg::R13, TARGET);
+            let probe = CompiledProbe::compile(&template(1)).unwrap();
+            let out = m.run_probe(T0, &probe).unwrap();
+            let state = (
+                out,
+                [m.reg(T0, Reg::R14), m.reg(T0, Reg::R15), m.reg(T1, Reg::R0)],
+                [m.clock(T0), m.clock(T1)],
+                PerfEvent::ALL
+                    .iter()
+                    .filter(|e| !is_sim_probe_counter(**e))
+                    .map(|e| (m.counters(T0).read(*e), m.counters(T1).read(*e)))
+                    .collect::<Vec<_>>(),
+            );
+            let fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
+            let fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
+            (state, fast, fallback)
+        };
+        let (fused, fast, fallback) = run(Tier::Fast);
+        assert_eq!((fast, fallback), (1, 0), "the probe fused beside a running sibling");
+        assert!(fused.2[1] > 0, "sibling interleaved during the probe");
+        for tier in [Tier::Decoded, Tier::Reference] {
+            assert_eq!(run(tier).0, fused, "fused probe diverged from {tier:?}");
+        }
     }
 }
 
