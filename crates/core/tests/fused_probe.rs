@@ -10,6 +10,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smack::channel::run_channel_in;
+use smack::rsa::{self, RsaAttackConfig};
 use smack::srp::{self, SrpAttackConfig};
 use smack::{calibrate_with_cold, ChannelSpec, Prober, Scenario, Sessions};
 use smack_crypto::Bignum;
@@ -20,6 +21,7 @@ use smack_uarch::{
 };
 
 const T0: ThreadId = ThreadId::T0;
+const T1: ThreadId = ThreadId::T1;
 const SCRATCH: Addr = Addr(0x3_0000);
 
 /// The tiers that execute every probe per-step.
@@ -42,13 +44,13 @@ fn fast_path_count(m: &Machine) -> u64 {
     m.counters(T0).read(PerfEvent::SimProbeFastPath)
 }
 
-/// Counter values both configurations must agree on: everything except
-/// the fast-path / fallback bookkeeping pair.
+/// Counter values both configurations must agree on: every hardware
+/// event of both threads (the simulated ones count how the engine ran).
 fn hw_counters(m: &Machine) -> Vec<(&'static str, u64)> {
     let mut out = Vec::new();
-    for tid in [ThreadId::T0, ThreadId::T1] {
+    for tid in [T0, T1] {
         for e in PerfEvent::ALL {
-            if !matches!(e, PerfEvent::SimProbeFastPath | PerfEvent::SimProbeFallback) {
+            if !e.is_simulated() {
                 out.push((e.name(), m.counters(tid).read(e)));
             }
         }
@@ -174,7 +176,9 @@ fn covert_channel_reports_identical_under_fusion() {
 /// while Prime+iStore and then the Mastik baseline sample it, under the
 /// noisy model. Samples must be identical on every tier, and on
 /// [`Tier::Fast`] every probe, call and wait must fuse beside the running
-/// victim — a guard that quietly stops co-run fusion fails here.
+/// victim, and the victim's `sqr_n`/`mul_n` loops must take the
+/// counted-loop path under both samplers — a guard that quietly stops
+/// co-run fusion fails here.
 #[test]
 fn srp_co_run_samples_identical_and_fully_fused() {
     const GROUP: usize = 1024;
@@ -182,12 +186,14 @@ fn srp_co_run_samples_identical_and_fully_fused() {
     let b = Bignum::random_bits(&mut rng, 160);
     let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(GROUP) };
     let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(5);
-    // (Prime+iStore samples, Mastik samples, fast-path and fallback counts)
+    // (Prime+iStore samples, Mastik samples, fast-path and fallback
+    // counts, loop-path retirements under each sampler)
     let run = |tier| {
         let sessions = Sessions::with_exec(ExecConfig { tier, ..ExecConfig::DEFAULT });
         let mut session = sessions.session(&scenario);
         let smc = srp::single_trace_attack_in(&mut session, &b, &cfg).unwrap().samples;
         let mut counts = sim_counts(session.machine());
+        let smc_loop = loop_fused(session.machine());
         session.renew(5);
         let m = session.machine();
         let victim = srp::build_victim(GROUP, b.bit_len());
@@ -197,18 +203,49 @@ fn srp_co_run_samples_identical_and_fully_fused() {
         let mastik = srp::collect_events(m, &victim, &b, sampler, 10_000).unwrap();
         let (fast, fallback) = sim_counts(m);
         counts = (counts.0 + fast, counts.1 + fallback);
-        (smc, mastik, counts)
+        (smc, mastik, counts, (smc_loop, loop_fused(m)))
     };
-    let (smc, mastik, (fast, fallback)) = run(Tier::Fast);
+    let (smc, mastik, (fast, fallback), (smc_loop, mastik_loop)) = run(Tier::Fast);
     assert!(smc.len() > 100 && mastik.len() > 100, "{} / {} samples", smc.len(), mastik.len());
     assert!(fast > 0);
     assert_eq!(fallback, 0, "a co-run probe, call or wait fell back to per-step");
+    assert!(smc_loop > 0, "the victim's loops never fused beside Prime+iStore");
+    assert!(mastik_loop > 0, "the victim's loops never fused beside Mastik");
     for tier in PER_STEP {
-        let (s, m, (fast, _)) = run(tier);
+        let (s, m, (fast, _), loops) = run(tier);
         assert_eq!(s, smc, "Prime+iStore samples diverged under {tier:?}");
         assert_eq!(m, mastik, "Mastik samples diverged under {tier:?}");
         assert_eq!(fast, 0, "{tier:?} took a fused path");
+        assert_eq!(loops, (0, 0), "{tier:?} took the loop path");
     }
+}
+
+/// The fig5 victim (binary left-to-right RSA) decrypting alone: the same
+/// schedule log, clock and hardware counters on every tier, and on
+/// [`Tier::Fast`] its `sqr_n`/`mul_n` loops take the counted-loop path.
+#[test]
+fn lone_rsa_victim_identical_and_loop_fused() {
+    let victim = rsa::build_victim(&RsaAttackConfig::new(ProbeKind::Flush));
+    let exp = Bignum::random_bits(&mut SmallRng::seed_from_u64(0x5a), 64);
+    let run = |tier| {
+        let mut m = noisy_machine(tier, 9);
+        m.load_program(&victim.program);
+        victim.start(&mut m, T1, &exp);
+        m.run_until_halt(T1, 50_000_000).unwrap();
+        ((victim.read_log(&m, T1), m.clock(T1), hw_counters(&m)), loop_fused(&m))
+    };
+    let (fast, fused) = run(Tier::Fast);
+    assert!(fused > 0, "the lone victim's loops never fused");
+    for tier in PER_STEP {
+        let (stepped, fused) = run(tier);
+        assert_eq!(stepped, fast, "lone victim diverged under {tier:?}");
+        assert_eq!(fused, 0, "{tier:?} took the loop path");
+    }
+}
+
+/// Instructions the counted-loop path retired (both threads).
+fn loop_fused(m: &Machine) -> u64 {
+    m.counters_total().read(PerfEvent::SimLoopFused)
 }
 
 /// The attacker thread's `(SimProbeFastPath, SimProbeFallback)` counts.

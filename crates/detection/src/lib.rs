@@ -501,6 +501,22 @@ mod tests {
         assert_eq!(collect_unit(&mut m, unit, &cfg).map(|w| w.is_none()), Ok(true));
     }
 
+    /// No detection feature reads a simulator-internal counter: a window
+    /// whose only activity is `Sim*` events yields all-zero features for
+    /// every feature set.
+    #[test]
+    fn no_feature_reads_a_simulated_counter() {
+        let before = CounterBank::new();
+        let mut after = CounterBank::new();
+        for e in PerfEvent::ALL.into_iter().filter(|e| e.is_simulated()) {
+            after.add(e, 1_000);
+        }
+        let d = CounterDelta::from_banks(&before, &after, 100_000);
+        for set in FeatureSet::ALL {
+            assert!(set.extract(&d).iter().all(|f| *f == 0.0), "{set} reads a Sim* counter");
+        }
+    }
+
     #[test]
     fn feature_extraction_normalizes_per_cycle() {
         let mut before = CounterBank::new();

@@ -14,7 +14,7 @@
 /// for _ in 0..4 { b.update(0x400, true); }
 /// assert!(b.predict(0x400));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BranchPredictor {
     counters: Vec<u8>,
     mask: usize,

@@ -82,11 +82,19 @@ pub enum PerfEvent {
     /// that is not a one-line `nop*; ret` routine) and that fell back to
     /// per-step execution.
     SimProbeFallback,
+    /// Instructions retired by the [`Tier::Fast`] counted-loop executor
+    /// (the `sqr_n`/`mul_n` busy-wait of a modexp victim, recognized at
+    /// decode time), slot by slot or as whole iterations in closed form.
+    /// Not a hardware event: it shows how much of a victim's execution
+    /// took the loop path, and reads 0 on the per-step tiers.
+    ///
+    /// [`Tier::Fast`]: crate::engine::Tier::Fast
+    SimLoopFused,
 }
 
 impl PerfEvent {
     /// Every modeled event, in a stable order.
-    pub const ALL: [PerfEvent; 21] = [
+    pub const ALL: [PerfEvent; 22] = [
         PerfEvent::InstRetired,
         PerfEvent::BrInstRetired,
         PerfEvent::BrMispRetired,
@@ -108,6 +116,7 @@ impl PerfEvent {
         PerfEvent::SimPatchRecompiles,
         PerfEvent::SimProbeFastPath,
         PerfEvent::SimProbeFallback,
+        PerfEvent::SimLoopFused,
     ];
 
     fn slot(self) -> usize {
@@ -143,7 +152,22 @@ impl PerfEvent {
             PerfEvent::SimPatchRecompiles => "SIM.PATCH_RECOMPILES",
             PerfEvent::SimProbeFastPath => "SIM.PROBE_FAST_PATH",
             PerfEvent::SimProbeFallback => "SIM.PROBE_FALLBACK",
+            PerfEvent::SimLoopFused => "SIM.LOOP_FUSED",
         }
+    }
+
+    /// Whether this is a simulator-internal `Sim*` event rather than a
+    /// modeled hardware counter. Simulated events count how the engine
+    /// executed (and may differ between execution tiers); no detection
+    /// feature or tier-equivalence check may read them as hardware.
+    pub fn is_simulated(self) -> bool {
+        matches!(
+            self,
+            PerfEvent::SimPatchRecompiles
+                | PerfEvent::SimProbeFastPath
+                | PerfEvent::SimProbeFallback
+                | PerfEvent::SimLoopFused
+        )
     }
 }
 
@@ -280,6 +304,13 @@ mod tests {
     fn all_slots_unique() {
         for (i, e) in PerfEvent::ALL.iter().enumerate() {
             assert_eq!(e.slot(), i);
+        }
+    }
+
+    #[test]
+    fn simulated_events_are_the_sim_names() {
+        for e in PerfEvent::ALL {
+            assert_eq!(e.is_simulated(), e.name().starts_with("SIM."), "{e:?}");
         }
     }
 

@@ -184,9 +184,81 @@ impl MicroOp {
     }
 }
 
+/// Whether `instr` has an opcode a [`CountedLoop`] slot can hold.
+fn loop_shaped(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Delay { .. }
+            | Instr::Nop
+            | Instr::AddImm { .. }
+            | Instr::CmpImm { .. }
+            | Instr::Jcc { .. }
+            | Instr::Jmp { .. }
+    )
+}
+
 /// Sentinel index meaning "no decoded successor" (the address is not mapped,
 /// or the successor must be resolved through [`DecodedProgram::index_of`]).
 pub const NO_IDX: u32 = u32::MAX;
+
+/// Most slots a [`CountedLoop`] may span.
+pub(crate) const LOOP_MAX_SLOTS: usize = 8;
+
+/// Sentinel in the per-instruction loop table: not a member of any
+/// [`CountedLoop`].
+pub(crate) const NO_LOOP: u32 = u32::MAX;
+
+/// A counted loop recognized at decode time — the schedule the engine's
+/// loop executor runs from any of its slots.
+///
+/// The shape is `[Delay|Nop]*; add r,-1; cmp r,0; je exit; jmp*` where the
+/// `je` falls through into the `jmp` chain and the last `jmp` lands on the
+/// first slot (the *head*), at most [`LOOP_MAX_SLOTS`] slots in all —
+/// exactly the busy-wait every modexp victim's `sqr_n`/`mul_n` routine
+/// spins in. Slot positions fix each slot's operation: `0..add` are
+/// `Delay`/`Nop`, `add` is the decrement, `add + 1` the compare, `add + 2`
+/// the `je`, and the rest are `jmp`s.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct CountedLoop {
+    /// Decoded index of each slot, head first (the first `len` are used).
+    pub slots: [u32; LOOP_MAX_SLOTS],
+    /// Address of each slot.
+    pub pcs: [u64; LOOP_MAX_SLOTS],
+    /// Exact execution cost of each slot (fetch excluded).
+    pub costs: [u64; LOOP_MAX_SLOTS],
+    /// Number of slots.
+    pub len: u8,
+    /// Slot position of `add r,-1` (the length of the `Delay`/`Nop` prefix).
+    pub add: u8,
+    /// Index of the counter register `r`.
+    pub counter: u8,
+    /// Bit `s` is set when slot `s` switches lines in steady state (its
+    /// line differs from the cyclically previous slot's): the lines one
+    /// iteration from the head fetches, in slot order.
+    pub fetch_mask: u8,
+    /// Total execution cost of one iteration.
+    pub iter_cost: u64,
+}
+
+impl CountedLoop {
+    /// Slot position of the `je`.
+    #[inline]
+    pub(crate) fn je(&self) -> usize {
+        usize::from(self.add) + 2
+    }
+
+    /// Cache line of slot `s`.
+    #[inline]
+    pub(crate) fn line(&self, s: usize) -> u64 {
+        Addr(self.pcs[s]).line().0
+    }
+
+    /// Execution cost of the `Delay`/`Nop` prefix: how far into an
+    /// iteration the decrement begins when no fetch costs anything.
+    pub(crate) fn prefix_cost(&self) -> u64 {
+        self.costs[..usize::from(self.add)].iter().sum()
+    }
+}
 
 /// One pre-decoded instruction: the operation plus every derived datum the
 /// step loop would otherwise recompute per retirement.
@@ -216,7 +288,9 @@ pub struct DecodedInstr {
 /// prefix sums of execution cost and line breaks. The engine's superblock
 /// path uses these to decide — before executing anything — how many
 /// instructions it can legally retire in one batch, and to retire them
-/// without consulting the `Instr` representation at all.
+/// without consulting the `Instr` representation at all. The table also
+/// records each counted loop (`CountedLoop`) and which instructions are
+/// its slots.
 #[derive(Clone, Debug, Default)]
 pub struct DecodedProgram {
     instrs: Vec<DecodedInstr>,
@@ -240,6 +314,12 @@ pub struct DecodedProgram {
     /// instruction `j` starts on a different cache line than `j − 1`
     /// (length `n + 1`) — a prefix-sum bound on mid-run fetches.
     cum_breaks: Vec<u32>,
+    /// Counted loops found by [`DecodedProgram::find_loops`].
+    loops: Vec<CountedLoop>,
+    /// `loop_member[i]`: `(loop id << 3) | slot` when instruction `i` is a
+    /// slot of a [`CountedLoop`], else [`NO_LOOP`] — the engine's hot
+    /// membership check is this one load.
+    loop_member: Vec<u32>,
 }
 
 impl DecodedProgram {
@@ -282,9 +362,99 @@ impl DecodedProgram {
             line_end: Vec::new(),
             cum_cost: Vec::new(),
             cum_breaks: Vec::new(),
+            loops: Vec::new(),
+            loop_member: Vec::new(),
         };
         table.fuse();
+        table.find_loops();
         table
+    }
+
+    /// (Re)build the counted-loop table from `instrs`. Linear: a loop is
+    /// matched only from its unique `add r,-1`, and every walk is bounded
+    /// by [`LOOP_MAX_SLOTS`]. Loops are disjoint — each slot has one
+    /// in-loop successor — so no instruction belongs to two.
+    fn find_loops(&mut self) {
+        self.loops.clear();
+        self.loop_member.clear();
+        self.loop_member.resize(self.instrs.len(), NO_LOOP);
+        for i in 0..self.instrs.len() as u32 {
+            if let Some(lp) = self.match_loop(i) {
+                let id = self.loops.len() as u32;
+                for (s, &idx) in lp.slots[..usize::from(lp.len)].iter().enumerate() {
+                    self.loop_member[idx as usize] = (id << 3) | s as u32;
+                }
+                self.loops.push(lp);
+            }
+        }
+    }
+
+    /// The [`CountedLoop`] whose `add r,-1` is instruction `add`, if any.
+    fn match_loop(&self, add: u32) -> Option<CountedLoop> {
+        let Instr::AddImm { dst, imm: -1 } = self.instrs[add as usize].instr else {
+            return None;
+        };
+        let at = |idx: u32| (idx != NO_IDX).then(|| &self.instrs[idx as usize]);
+        let cmp = self.instrs[add as usize].fall;
+        if at(cmp)?.instr != (Instr::CmpImm { a: dst, imm: 0 }) {
+            return None;
+        }
+        let je = at(cmp)?.fall;
+        if !matches!(at(je)?.instr, Instr::Jcc { cond: crate::isa::Cond::Eq, .. }) {
+            return None;
+        }
+        // The `jmp` chain from the `je`'s fall-through, then the
+        // `Delay`/`Nop` prefix from wherever it lands back to the `add`.
+        let mut jmps = Vec::new();
+        let mut idx = at(je)?.fall;
+        while let Instr::Jmp { .. } = at(idx)?.instr {
+            if jmps.len() == LOOP_MAX_SLOTS {
+                return None;
+            }
+            jmps.push(idx);
+            idx = self.instrs[idx as usize].target;
+        }
+        let mut slots = Vec::new();
+        while idx != add {
+            if slots.len() == LOOP_MAX_SLOTS
+                || !matches!(at(idx)?.instr, Instr::Delay { .. } | Instr::Nop)
+            {
+                return None;
+            }
+            slots.push(idx);
+            idx = self.instrs[idx as usize].fall;
+        }
+        let prefix = slots.len();
+        slots.extend([add, cmp, je]);
+        slots.extend(jmps);
+        if slots.len() > LOOP_MAX_SLOTS {
+            return None;
+        }
+        let mut lp = CountedLoop {
+            slots: [NO_IDX; LOOP_MAX_SLOTS],
+            pcs: [0; LOOP_MAX_SLOTS],
+            costs: [0; LOOP_MAX_SLOTS],
+            len: slots.len() as u8,
+            add: prefix as u8,
+            counter: dst.index() as u8,
+            fetch_mask: 0,
+            iter_cost: 0,
+        };
+        for (s, &idx) in slots.iter().enumerate() {
+            let d = &self.instrs[idx as usize];
+            lp.slots[s] = idx;
+            lp.pcs[s] = d.pc;
+            lp.costs[s] = match d.instr {
+                Instr::Delay { cycles } => u64::from(cycles),
+                _ => 1,
+            };
+            let prev = &self.instrs[slots[(s + slots.len() - 1) % slots.len()] as usize];
+            if d.line != prev.line {
+                lp.fetch_mask |= 1 << s;
+            }
+        }
+        lp.iter_cost = lp.costs.iter().sum();
+        Some(lp)
     }
 
     /// (Re)build the superblock fusion metadata from `instrs`. Linear; run
@@ -368,6 +538,11 @@ impl DecodedProgram {
         } else {
             self.micro[idx as usize] = lowered;
         }
+        // Likewise the loop table: only a patch that touches a loop-shaped
+        // instruction (before or after) can make or break a counted loop.
+        if self.loop_member[idx as usize] != NO_LOOP || loop_shaped(&instr) {
+            self.find_loops();
+        }
         true
     }
 
@@ -380,6 +555,30 @@ impl DecodedProgram {
         self.line_end.clear();
         self.cum_cost.clear();
         self.cum_breaks.clear();
+        self.loops.clear();
+        self.loop_member.clear();
+    }
+
+    /// `(loop id << 3) | slot` when instruction `idx` is a slot of a
+    /// [`CountedLoop`], else [`NO_LOOP`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline]
+    pub(crate) fn loop_member(&self, idx: u32) -> u32 {
+        self.loop_member[idx as usize]
+    }
+
+    /// The counted loop with id `id` (a [`DecodedProgram::loop_member`]
+    /// value shifted right by 3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[inline]
+    pub(crate) fn counted_loop(&self, id: u32) -> &CountedLoop {
+        &self.loops[id as usize]
     }
 
     /// Index of the instruction at `pc`, or [`NO_IDX`] if none is mapped
@@ -642,6 +841,70 @@ mod tests {
         // lfence → add restores the original single run.
         assert!(d.patch(pc1, Instr::Add { dst: Reg::R0, src: Reg::R1 }));
         assert_eq!(d.run_end(0), 3);
+    }
+
+    /// `ModexpVictimBuilder::emit_routine`'s routine: `delay; add r11,-1;
+    /// cmp r11,0; je done; jmp tail` with `tail: jmp body` on the next line
+    /// (or `nops` more `nop`s after the `delay`).
+    fn routine(nops: usize) -> Program {
+        let mut a = Assembler::new(0x1000);
+        a.store_imm(crate::isa::MemRef::base(Reg::R10), 1)
+            .add_imm(Reg::R10, 1)
+            .mov_imm(Reg::R11, 9)
+            .label("body")
+            .delay(60)
+            .nops(nops)
+            .add_imm(Reg::R11, -1)
+            .cmp_imm(Reg::R11, 0)
+            .je("done")
+            .jmp("tail");
+        a.org(0x1040).label("tail").jmp("body").label("done").ret();
+        a.assemble().unwrap()
+    }
+
+    #[test]
+    fn counted_loops_are_recognized_with_their_schedule() {
+        let d = DecodedProgram::compile(&routine(0));
+        // store, add, mov sit outside; delay .. the tail jmp are slots 0..6.
+        for i in 0..3 {
+            assert_eq!(d.loop_member(i), NO_LOOP);
+        }
+        for (s, i) in (3..9).enumerate() {
+            assert_eq!(d.loop_member(i), s as u32, "instr {i} is slot {s} of loop 0");
+        }
+        assert_eq!(d.loop_member(9), NO_LOOP, "the exit's ret");
+        let lp = d.counted_loop(0);
+        assert_eq!((lp.len, lp.add, lp.counter, lp.je()), (6, 1, 11, 3));
+        assert_eq!(lp.costs[..6], [60, 1, 1, 1, 1, 1]);
+        assert_eq!((lp.iter_cost, lp.prefix_cost()), (65, 60));
+        // One iteration from the head fetches the body line, then the tail.
+        assert_eq!(lp.fetch_mask, 0b10_0001);
+        assert_eq!((lp.line(0), lp.line(5)), (0x1000, 0x1040));
+    }
+
+    #[test]
+    fn loops_past_eight_slots_or_off_shape_are_not_recognized() {
+        let fits = DecodedProgram::compile(&routine(2));
+        assert_eq!(fits.counted_loop(0).len, 8);
+        let long = DecodedProgram::compile(&routine(3));
+        assert!((0..long.len() as u32).all(|i| long.loop_member(i) == NO_LOOP), "9 slots");
+        // `looped()` counts up and exits through `jne`: not the shape.
+        let d = DecodedProgram::compile(&looped());
+        assert!((0..d.len() as u32).all(|i| d.loop_member(i) == NO_LOOP));
+    }
+
+    #[test]
+    fn patches_break_and_restore_counted_loops() {
+        let mut d = DecodedProgram::compile(&routine(0));
+        let add_pc = d.get(4).pc;
+        // add r11,-1 → add r11,-2 (same length): no longer a counted loop.
+        assert!(d.patch(add_pc, Instr::AddImm { dst: Reg::R11, imm: -2 }));
+        assert!((0..d.len() as u32).all(|i| d.loop_member(i) == NO_LOOP));
+        assert!(d.patch(add_pc, Instr::AddImm { dst: Reg::R11, imm: -1 }));
+        assert_eq!(d.loop_member(4), 1);
+        // A longer delay keeps the loop and refreshes its schedule.
+        assert!(d.patch(d.get(3).pc, Instr::Delay { cycles: 90 }));
+        assert_eq!(d.counted_loop(0).iter_cost, 95);
     }
 
     #[test]

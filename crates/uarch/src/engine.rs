@@ -37,7 +37,7 @@ use crate::addr::Addr;
 use crate::asm::Program;
 use crate::bpu::BranchPredictor;
 use crate::counters::{CounterBank, PerfEvent};
-use crate::decoded::{DecodedProgram, MicroOp, NO_IDX};
+use crate::decoded::{DecodedProgram, MicroOp, LOOP_MAX_SLOTS, NO_IDX, NO_LOOP};
 use crate::hierarchy::{AccessInfo, CacheHierarchy, Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
 use crate::mem::Memory;
@@ -267,8 +267,8 @@ pub enum InjectedNext {
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Tier {
     /// The decoded side table plus every fused path: superblock
-    /// retirement ([`Engine::run_burst`]), fused probes
-    /// ([`Engine::run_fused_probe`]), fused attacker calls
+    /// retirement and counted-loop execution ([`Engine::run_burst`]),
+    /// fused probes ([`Engine::run_fused_probe`]), fused attacker calls
     /// ([`Engine::run_fused_call`]) and batched idle advances
     /// ([`Engine::advance_idle`]). The default.
     Fast,
@@ -899,7 +899,9 @@ impl Engine {
     /// instructions of the maximal straight-line fusable run starting at
     /// the current pc, executed with batched clock/counter/noise updates.
     /// Returns the number of instructions retired (0 = conditions not met;
-    /// the caller falls back to [`Engine::step`]).
+    /// the caller falls back to [`Engine::step`]). A pc inside a counted
+    /// loop goes to the loop executor ([`Engine::run_loop`]) instead, under
+    /// the same contract.
     ///
     /// **Bit-identity argument.** Fusable micro-ops touch only the owning
     /// thread's registers/ready/flags/clock (see [`MicroOp`]), so batching
@@ -959,6 +961,10 @@ impl Engine {
             }
             cached => cached,
         };
+        let member = self.decoded.loop_member(idx);
+        if member != NO_LOOP {
+            return self.run_loop(tid, member, max_steps, clock_slack);
+        }
         let run_end = self.decoded.run_end(idx);
         if u64::from(run_end - idx).min(max_steps) < 2 {
             // A one-instruction "batch" is pure overhead over `step`.
@@ -1186,6 +1192,198 @@ impl Engine {
         let evictions = self.noise.evictions_for(self.decoded.block_cost(idx, end));
         debug_assert_eq!(evictions, 0, "noise guard must stop the block before an eviction");
         n
+    }
+
+    /// The counted-loop executor: retire slots of the
+    /// [`crate::decoded::CountedLoop`] that `member` (a
+    /// [`DecodedProgram::loop_member`] entry) names, starting at its slot,
+    /// under the same `max_steps` / `clock_slack` contract as
+    /// [`Engine::try_superblock`]. Returns the number of instructions
+    /// retired; 0 leaves the slot to [`Engine::step`]. Out of line, like
+    /// [`Engine::superblock_cold`], so the step loops' code stays as it was
+    /// for programs without counted loops.
+    ///
+    /// **Per-slot path.** Each slot has exactly `step`'s effects: the real
+    /// [`Engine::fetch`] on a line switch, the register, ready-stamp and
+    /// flags updates of its `execute` arm, and for the `je` the predictor
+    /// update and `BrInstRetired`. The loop stops, leaving the slot to
+    /// `step`, before a slot that would begin past the causal slack, past
+    /// the step budget, at a `je` that exits the loop or that the
+    /// predictor calls taken (a misprediction), or whose cost would reach
+    /// the next scheduled noise eviction. Nothing else draws from the
+    /// noise source inside the span, so the per-slot draws collapse into
+    /// one provably empty draw at the end (partition invariance, as in
+    /// [`Engine::charge`]).
+    ///
+    /// **Closed form.** At the head, [`Engine::loop_iterations`] may admit
+    /// `k` whole iterations, retired by [`Engine::retire_iterations`].
+    #[inline(never)]
+    fn run_loop(&mut self, tid: ThreadId, member: u32, max_steps: u64, clock_slack: u64) -> u64 {
+        let id = member >> 3;
+        let mut s = (member & 7) as usize;
+        let lp = self.decoded.counted_loop(id);
+        let (n, add, je) = (usize::from(lp.len), usize::from(lp.add), lp.je());
+        let (r, je_pc) = (usize::from(lp.counter), lp.pcs[je]);
+        let ti = tid.index();
+        // A slot may begin while the thread clock is at most `limit`.
+        let limit = self.threads[ti].clock.saturating_add(clock_slack);
+        let noise_budget = self.noise.cycles_to_next_eviction();
+        let mut debt = 0u64;
+        let mut done = 0u64;
+        while done < max_steps && self.threads[ti].clock <= limit {
+            if s == 0 {
+                let k = self.loop_iterations(tid, id, limit, noise_budget - debt, max_steps - done);
+                if k > 0 {
+                    debt += self.retire_iterations(tid, id, k);
+                    done += k * n as u64;
+                    continue;
+                }
+            }
+            let lp = self.decoded.counted_loop(id);
+            let (cost, line) = (lp.costs[s], lp.line(s));
+            if debt + cost >= noise_budget {
+                break;
+            }
+            if s == je {
+                if self.threads[ti].flags.eq || self.bpu.predict(je_pc) {
+                    break;
+                }
+                self.bpu.update(je_pc, false);
+                self.threads[ti].counters.add(PerfEvent::BrInstRetired, 1);
+            }
+            if self.threads[ti].last_fetch_line != line {
+                self.fetch(tid, line);
+            }
+            let t = &mut self.threads[ti];
+            if s == add {
+                t.regs[r] = t.regs[r].wrapping_sub(1);
+                t.ready[r] = (t.clock + 1).max(t.ready[r]);
+            } else if s == add + 1 {
+                t.flags = Flags::compare(t.regs[r], 0);
+                t.flags_ready = (t.clock + 1).max(t.ready[r]);
+            }
+            t.clock += cost;
+            debt += cost;
+            done += 1;
+            s = if s + 1 == n { 0 } else { s + 1 };
+        }
+        if done == 0 {
+            return 0;
+        }
+        let lp = self.decoded.counted_loop(id);
+        let (pc, pc_idx) = (lp.pcs[s], lp.slots[s]);
+        let t = &mut self.threads[ti];
+        t.pc = pc;
+        t.pc_idx = pc_idx;
+        t.counters.add(PerfEvent::InstRetired, done);
+        t.counters.add(PerfEvent::SimLoopFused, done);
+        let evictions = self.noise.evictions_for(debt);
+        debug_assert_eq!(evictions, 0, "the loop stops before a noise crossing");
+        done
+    }
+
+    /// How many whole iterations of loop `id` the closed form may retire
+    /// from its head now: the largest `k` that keeps the exit iteration,
+    /// the causal `limit`, the `noise_left` budget and `steps_left` out of
+    /// reach, or 0 (also for `k` = 1, where the closed form saves
+    /// nothing) unless every iteration provably repeats one schedule:
+    ///
+    /// * the counter is ready (`ready[r] ≤ clock`), so each decrement,
+    ///   compare and `je` resolves at a fixed offset into its iteration;
+    /// * the predictor calls the `je` not-taken, and stays so while it
+    ///   is trained not-taken;
+    /// * the front end stands at the steady state (`last_fetch_line` is
+    ///   the last slot's line), and each line the iteration fetches is a
+    ///   zero-cost iTLB and L1i hit whose fetch only re-stamps LRU state
+    ///   ([`CacheHierarchy::fetch_is_stamp_only`]) — so one iteration's
+    ///   fetch sequence leaves every set's and the iTLB's recency order as
+    ///   `k` would;
+    /// * no fetch log is recording (it would record `k` copies).
+    fn loop_iterations(
+        &self,
+        tid: ThreadId,
+        id: u32,
+        limit: u64,
+        noise_left: u64,
+        steps_left: u64,
+    ) -> u64 {
+        let lp = self.decoded.counted_loop(id);
+        let t = &self.threads[tid.index()];
+        let (n, r) = (usize::from(lp.len), usize::from(lp.counter));
+        if t.ready[r] > t.clock
+            || t.last_fetch_line != lp.line(n - 1)
+            || self.fetch_log.is_some()
+            || self.bpu.predict(lp.pcs[lp.je()])
+        {
+            return 0;
+        }
+        let c = lp.iter_cost;
+        // Iteration `k`'s last slot begins at `clock + k·c − costs[n−1]`.
+        let k = t.regs[r]
+            .wrapping_sub(1)
+            .min((noise_left - 1) / c)
+            .min(steps_left / n as u64)
+            .min((limit - t.clock).saturating_add(lp.costs[n - 1]) / c);
+        if k < 2 {
+            return 0;
+        }
+        let quiet = (0..n).filter(|s| lp.fetch_mask & (1 << s) != 0).all(|s| {
+            let line = Addr(lp.line(s));
+            self.itlb[tid.index()].contains(line) && self.hier.fetch_is_stamp_only(line)
+        });
+        if quiet {
+            k
+        } else {
+            0
+        }
+    }
+
+    /// Retire `k` whole iterations of loop `id` from its head in closed
+    /// form (preconditions: [`Engine::loop_iterations`]): one iteration's
+    /// real fetch sequence, the fetch-window ring as `k` iterations leave
+    /// it, `clock += k·c`, `r −= k`, the ready stamp and flags of the last
+    /// iteration's decrement and compare, `BrInstRetired += k` and the
+    /// `je`'s predictor counter trained not-taken. Returns the
+    /// execution cycles for the caller's noise debt; the caller counts
+    /// the `k·len` retired instructions.
+    fn retire_iterations(&mut self, tid: ThreadId, id: u32, k: u64) -> u64 {
+        let lp = self.decoded.counted_loop(id);
+        let (n, r, c) = (usize::from(lp.len), usize::from(lp.counter), lp.iter_cost);
+        let (je_pc, prefix) = (lp.pcs[lp.je()], lp.prefix_cost());
+        let mut lines = [0u64; LOOP_MAX_SLOTS];
+        let mut f = 0;
+        for s in (0..n).filter(|s| lp.fetch_mask & (1 << s) != 0) {
+            lines[f] = lp.line(s);
+            f += 1;
+        }
+        let mut infos = [COLD_ACCESS; LOOP_MAX_SLOTS];
+        self.hier.fetch_lines(&lines[..f], &mut infos[..f]);
+        for j in 0..f {
+            let cost = self.fetch_effects(tid, lines[j], infos[j]);
+            debug_assert_eq!(cost, 0, "closed-form fetches are free");
+        }
+        let t = &mut self.threads[tid.index()];
+        if f > 0 {
+            // The `(k − 1)·f` further pushes: only the last `FETCH_WINDOW`
+            // land in the ring.
+            let (w, f) = (FETCH_WINDOW as u64, f as u64);
+            let (next, extra) = (t.fetch_window_next as u64, (k - 1) * f);
+            for p in extra.saturating_sub(w)..extra {
+                t.fetch_window[((next + p % w) % w) as usize] = lines[(p % f) as usize];
+            }
+            t.fetch_window_next = ((next + extra % w) % w) as usize;
+        }
+        let start = t.clock;
+        t.regs[r] = t.regs[r].wrapping_sub(k);
+        t.ready[r] = start + (k - 1) * c + prefix + 1;
+        t.flags = Flags::compare(t.regs[r], 0);
+        t.flags_ready = t.ready[r] + 1;
+        t.clock = start + k * c;
+        t.counters.add(PerfEvent::BrInstRetired, k);
+        // The 2-bit counter predicts not-taken, so it is at most 1: one
+        // not-taken update saturates it at 0, as `k` updates would.
+        self.bpu.update(je_pc, false);
+        k * c
     }
 
     /// Execute one injected instruction (attacker-style straight-line code;
@@ -2398,5 +2596,220 @@ impl fmt::Debug for Engine {
             .field("t0_clock", &self.threads[0].clock)
             .field("t1_clock", &self.threads[1].clock)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::asm::Assembler;
+    use crate::machine::Machine;
+    use crate::profile::MicroArch;
+
+    const T0: ThreadId = ThreadId::T0;
+    const T1: ThreadId = ThreadId::T1;
+
+    /// Where a test loop's `tail: jmp body; done: ret` sits.
+    #[derive(Copy, Clone, Debug)]
+    enum Tail {
+        /// Right after the body.
+        After,
+        /// At the start of the line after the body's last (the victims'
+        /// layout).
+        NextLine,
+        /// Before the routine, on the head's line.
+        Before,
+    }
+
+    /// The loop layouts the white-box tests walk, with the lines one
+    /// iteration fetches: the whole loop on one line (none), the victims'
+    /// two-line layout (two), the body straddling a line with the tail on
+    /// a third (three: an odd count, so the fetch-window ring's position
+    /// depends on the iteration count), and a straddling body whose tail
+    /// jumps back to the head's line (two, with the head line last).
+    const LAYOUTS: [(usize, Tail); 4] =
+        [(0, Tail::After), (0, Tail::NextLine), (40, Tail::NextLine), (40, Tail::Before)];
+
+    /// A `sqr_n`-style counted loop at `base`, called twice, `pad` nops
+    /// into its routine line. With `slow`, the driver loads the counter
+    /// from a flushed line and calls the loop head directly, so the first
+    /// iterations run while the counter is not ready and the predictor
+    /// still calls the `je` taken.
+    fn counted_loop(base: u64, (pad, tail): (usize, Tail), delay: u32, slow: bool) -> Program {
+        let mut a = Assembler::new(base);
+        a.mov_imm(Reg::R4, 2).mov_imm(Reg::R12, base + 0x800).label("drive");
+        if slow {
+            let cell = MemRef::base(Reg::R12);
+            a.mov_imm(Reg::R5, 37).store(Reg::R5, cell).clflush(cell).load(Reg::R11, cell);
+            a.call("body");
+        } else {
+            a.call("loop_n");
+        }
+        a.add_imm(Reg::R4, -1).cmp_imm(Reg::R4, 0).jne("drive").halt();
+        a.org(base + 0x100);
+        if let Tail::Before = tail {
+            a.label("tail").jmp("body").label("done").ret();
+        }
+        a.nops(pad)
+            .label("loop_n")
+            .mov_imm(Reg::R11, 37)
+            .label("body")
+            .delay(delay)
+            .add_imm(Reg::R11, -1)
+            .cmp_imm(Reg::R11, 0)
+            .je("done")
+            .jmp("tail");
+        match tail {
+            Tail::After => {}
+            Tail::NextLine => {
+                a.align(64);
+            }
+            Tail::Before => return a.assemble().unwrap(),
+        }
+        a.label("tail").jmp("body").label("done").ret();
+        a.assemble().unwrap()
+    }
+
+    /// A sibling that trains `prog`'s loop `je` taken in the shared
+    /// predictor: every 400 cycles two taken `jne`s whose addresses differ
+    /// from the `je`'s only in bits the index hash drops (25 and 26). The
+    /// victim then meets its head with the `je` predicted taken and a
+    /// 400-cycle slack.
+    fn aliasing_sibling(prog: &Program) -> Program {
+        let je = prog
+            .iter()
+            .find(|(_, i)| matches!(i, Instr::Jcc { cond: Cond::Eq, .. }))
+            .map(|(pc, _)| pc)
+            .unwrap();
+        let (x1, x2) = (je | 1 << 25, je | 1 << 26);
+        let mut a = Assembler::new(x2 - 5);
+        a.label("hop").cmp_imm(Reg::R0, 0).jne("spin");
+        a.org(x1 - 14).label("spin").delay(400).add_imm(Reg::R0, 1).cmp_imm(Reg::R0, 60);
+        a.jne("hop").halt();
+        a.org(x1 + 0x100).label("start").mov_imm(Reg::R0, 0).jmp("spin");
+        a.entry("start");
+        let sib = a.assemble().unwrap();
+        assert!(matches!(sib.instr_at(x1), Some(Instr::Jcc { .. })));
+        assert!(matches!(sib.instr_at(x2), Some(Instr::Jcc { .. })));
+        sib
+    }
+
+    /// Everything the loop executor writes on both threads, with cache
+    /// recency compared by order (each L1i set's LRU line) rather than by
+    /// absolute stamp.
+    fn state(m: &Machine) -> impl PartialEq + fmt::Debug {
+        let e = m.engine();
+        let thread = |t: &Thread| {
+            let hw: Vec<u64> = PerfEvent::ALL
+                .iter()
+                .filter(|ev| !ev.is_simulated())
+                .map(|ev| t.counters.read(*ev))
+                .collect();
+            let ring = (t.last_fetch_line, t.fetch_window, t.fetch_window_next);
+            ((t.regs, t.ready, t.flags, t.flags_ready, t.pc, t.clock), ring, hw)
+        };
+        let sets = e.profile.hierarchy.l1i.sets;
+        let lru: Vec<Option<Addr>> = (0..sets).map(|s| e.hier.l1i().lru_line(s)).collect();
+        (thread(&e.threads[0]), thread(&e.threads[1]), e.bpu.clone(), lru)
+    }
+
+    /// One machine per tier with `progs[i]` started on thread `i` (`None`
+    /// leaves it idle), fed through `drive` round by round; after every
+    /// round both must hold the same state. Returns the fast machine's
+    /// loop-path retirements.
+    fn lockstep(
+        progs: [Option<&Program>; 2],
+        noise: NoiseConfig,
+        burst: u64,
+        mut drive: impl FnMut(&mut Machine, usize) -> bool,
+    ) -> u64 {
+        let machine = |tier| {
+            let mut m = Machine::with_noise(MicroArch::CascadeLake.profile(), noise, 3);
+            m.set_exec(ExecConfig::new(tier, burst));
+            for (tid, prog) in [T0, T1].into_iter().zip(progs) {
+                if let Some(prog) = prog {
+                    m.load_program(prog);
+                    m.start_program(tid, prog.entry(), &[]);
+                }
+            }
+            m
+        };
+        let (mut fast, mut stepped) = (machine(Tier::Fast), machine(Tier::Decoded));
+        for round in 0.. {
+            let more = drive(&mut fast, round);
+            assert_eq!(drive(&mut stepped, round), more);
+            assert_eq!(state(&fast), state(&stepped), "round {round}, burst {burst}");
+            if !more {
+                break;
+            }
+        }
+        fast.counters_total().read(PerfEvent::SimLoopFused)
+    }
+
+    const HEAVY: NoiseConfig = NoiseConfig { timing_jitter: 12, evictions_per_kcycle: 50.0 };
+
+    /// The closed form and the per-slot path leave exactly the state
+    /// per-step execution leaves — ready stamps, flags, the fetch-window
+    /// ring, predictor counters and L1i recency included, none of which the
+    /// black-box equivalence tests see directly — at every burst boundary
+    /// of a lone loop, of two loops co-running, and of a loop beside a
+    /// sibling that trains its `je` taken, under heavy noise too.
+    #[test]
+    fn loop_executor_leaves_per_step_state() {
+        let other = counted_loop(0x9000, LAYOUTS[1], 7, false);
+        for layout in LAYOUTS {
+            for slow in [false, true] {
+                let prog = counted_loop(0x4000, layout, if slow { 7 } else { 41 }, slow);
+                let aliasing = aliasing_sibling(&prog);
+                for noise in [NoiseConfig::quiet(), HEAVY] {
+                    for burst in [1, 2, 3, 7, 50, 333, 4096] {
+                        let run = |m: &mut Machine, _| {
+                            let running = |m: &Machine, tid| m.state(tid) == ThreadState::Running;
+                            m.run_burst(if running(m, T0) { T0 } else { T1 }, burst).unwrap();
+                            running(m, T0) || running(m, T1)
+                        };
+                        assert!(lockstep([Some(&prog), None], noise, burst, run) > 0);
+                        assert!(lockstep([Some(&prog), Some(&other)], noise, burst, run) > 0);
+                        assert!(lockstep([Some(&prog), Some(&aliasing)], noise, burst, run) > 0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same with the loop as the victim of an injected attacker: idle
+    /// waits of every length catch it up with finite causal slack (fused
+    /// on the fast tier, chunked per step on the decoded one), and every
+    /// fourth round the attacker stores into its own L1i-resident code
+    /// line, a machine clear that stalls the victim and resets its front
+    /// end mid-loop.
+    #[test]
+    fn loop_executor_matches_per_step_beside_an_attacker() {
+        const ORACLE: u64 = 0x7000;
+        let mut a = Assembler::new(ORACLE);
+        a.nop().nop().ret();
+        let oracle = a.assemble().unwrap();
+        let clear = [Instr::StoreImm { mem: MemRef::base(Reg::R13), imm: 0x90 }];
+        let waits = [1u64, 3, 40, 45, 46, 90, 139, 200, 201, 333, 1000];
+        for layout in LAYOUTS {
+            for slow in [false, true] {
+                let prog = counted_loop(0x4000, layout, if slow { 7 } else { 41 }, slow);
+                for noise in [NoiseConfig::quiet(), HEAVY] {
+                    let run = |m: &mut Machine, round: usize| {
+                        if round == 0 {
+                            m.load_program(&oracle);
+                            m.set_reg(T0, Reg::R13, ORACLE);
+                        }
+                        if round % 4 == 3 {
+                            m.call(T0, ORACLE, &[]).unwrap();
+                            m.run_sequence(T0, &clear).unwrap();
+                        }
+                        m.advance(T0, waits[round % waits.len()]).unwrap();
+                        m.state(T1) == ThreadState::Running
+                    };
+                    assert!(lockstep([None, Some(&prog)], noise, 4096, run) > 0);
+                }
+            }
+        }
     }
 }

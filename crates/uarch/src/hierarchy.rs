@@ -280,6 +280,21 @@ impl CacheHierarchy {
         AccessInfo { level, latency: self.ifetch_extra(level), was_in_l1i: in_l1i }
     }
 
+    /// Whether an instruction fetch of `line` (line-aligned) would only
+    /// re-stamp LRU state: an L1i hit (no fill at any level, zero extra
+    /// latency) whose next-line prefetch, when configured, finds its
+    /// target already in L2 or the LLC (no fill either). Repeating such a
+    /// fetch changes stamp values only, never residency or any set's
+    /// recency order — what lets the engine retire whole loop iterations
+    /// with one iteration's fetches.
+    pub(crate) fn fetch_is_stamp_only(&self, line: Addr) -> bool {
+        let next = Addr(line.0 + crate::LINE_SIZE);
+        self.l1i.contains_line(line)
+            && (!self.cfg.next_line_prefetch
+                || self.l2.contains_line(next)
+                || self.llc.contains_line(next))
+    }
+
     /// Batched instruction-side fetch of a small slice of line-aligned
     /// line ids: the whole front-end sequence — [`CacheHierarchy::fetch`]
     /// plus, when the next-line prefetcher is configured, the silent

@@ -91,6 +91,12 @@ impl Machine {
         self.engine.exec()
     }
 
+    /// The engine, for white-box state checks in the engine's own tests.
+    #[cfg(test)]
+    pub(crate) fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
     /// Steps handed to the engine per burst.
     fn burst(&self) -> u64 {
         self.engine.exec().burst.get()

@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
-use smack_uarch::{ExecConfig, Machine, MicroArch, NoiseConfig, ThreadId, Tier};
+use smack_uarch::{
+    Addr, ExecConfig, Machine, MicroArch, NoiseConfig, PerfEvent, StepError, ThreadId, Tier,
+};
 
 const T0: ThreadId = ThreadId::T0;
 const T1: ThreadId = ThreadId::T1;
@@ -149,15 +151,37 @@ fn build_program(ops: &[BodyOp]) -> Program {
     a.assemble().expect("generated program assembles")
 }
 
-/// Everything the fast path must preserve, captured after a run.
+/// Everything the fast path must preserve, captured after a run. Only
+/// hardware counters are compared: the `Sim*` events count how the engine
+/// executed, so they differ between tiers by design.
 #[derive(PartialEq, Debug)]
 struct Outcome {
     regs: Vec<u64>,
     clock_t0: u64,
     clock_t1: u64,
-    counters_t0: smack_uarch::CounterSnapshot,
-    counters_t1: smack_uarch::CounterSnapshot,
+    counters: Vec<(&'static str, u64, u64)>,
     data: Vec<u8>,
+}
+
+impl Outcome {
+    fn of(m: &Machine) -> Outcome {
+        Outcome {
+            regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
+            clock_t0: m.clock(T0),
+            clock_t1: m.clock(T1),
+            counters: hw_counters(m),
+            data: m.read_bytes(Addr(DATA_BASE), 16 * 8),
+        }
+    }
+}
+
+/// Both threads' hardware counters: every event but the simulated ones.
+fn hw_counters(m: &Machine) -> Vec<(&'static str, u64, u64)> {
+    PerfEvent::ALL
+        .iter()
+        .filter(|e| !e.is_simulated())
+        .map(|e| (e.name(), m.counters(T0).read(*e), m.counters(T1).read(*e)))
+        .collect()
 }
 
 /// The oracle every other configuration is compared against.
@@ -179,14 +203,7 @@ fn run(prog: &Program, cfg: ExecConfig, noise_seed: Option<u64>) -> Outcome {
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
     m.run_until_halt(T0, 1_000_000).expect("program halts");
-    Outcome {
-        regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
-        clock_t0: m.clock(T0),
-        clock_t1: m.clock(T1),
-        counters_t0: m.counters(T0).snapshot(),
-        counters_t1: m.counters(T1).snapshot(),
-        data: m.read_bytes(smack_uarch::Addr(DATA_BASE), 16 * 8),
-    }
+    Outcome::of(&m)
 }
 
 /// A runtime rewrite of the helper routine's code line. Three variants:
@@ -218,13 +235,131 @@ fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: ExecConfig
     m.run_burst(T0, at_step).expect("prefix runs");
     m.patch_program(patch);
     m.run_until_halt(T0, 1_000_000).expect("program halts");
-    Outcome {
-        regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
-        clock_t0: m.clock(T0),
-        clock_t1: m.clock(T1),
-        counters_t0: m.counters(T0).snapshot(),
-        counters_t1: m.counters(T1).snapshot(),
-        data: m.read_bytes(smack_uarch::Addr(DATA_BASE), 16 * 8),
+    Outcome::of(&m)
+}
+
+/// Where counted-loop programs live: one per thread, so a victim on each
+/// can run side by side. The second one's routine line (`+ 0x100`) shares
+/// the probed `TARGET` line's L1i set.
+const LOOP_BASE: [u64; 2] = [0x60_0000, 0x67_ff00];
+/// The routines' log cursor (`R10`), inside the compared data window.
+const LOG_BASE: u64 = DATA_BASE + 96;
+
+/// The counted-loop axis: one routine in `ModexpVictimBuilder::emit_routine`'s
+/// exact shape — a log store, `add r10,1; mov r11,iters`, then
+/// `body: delay; nop*; add r11,-1; cmp r11,0; je done; jmp tail` and
+/// `tail: jmp body; done: ret` — called `calls` times by a driver.
+#[derive(Copy, Clone, Debug)]
+struct LoopShape {
+    /// Loop iterations per call, 1..=40.
+    iters: u8,
+    /// The body's `delay`, 1..=200 cycles.
+    delay: u8,
+    /// `tail` at the start of the line after the body's last (as the
+    /// victims lay it out: one line after their line-aligned entry)
+    /// rather than right after the body.
+    two_lines: bool,
+    /// Padding `nop`s before the entry: shifts the body across a line
+    /// boundary (with `two_lines`, a three-line loop).
+    pad: u8,
+    /// `nop`s after the `delay` inside the loop; 3 makes a 9-slot loop,
+    /// one more than the engine recognizes.
+    inner: u8,
+    /// Calls of the routine, 1..=4.
+    calls: u8,
+}
+
+impl LoopShape {
+    /// Whether the engine's loop executor can run this loop at all: it
+    /// fits the recognizer's 8 slots and reaches a non-exiting `je`.
+    fn fusable(self) -> bool {
+        self.inner <= 2 && self.iters >= 2
+    }
+}
+
+fn loop_shape_strategy() -> impl Strategy<Value = LoopShape> {
+    ((1u8..=40, 1u8..=200, any::<bool>()), (0u8..40, 0u8..4, 1u8..5)).prop_map(
+        |((iters, delay, two_lines), (pad, inner, calls))| LoopShape {
+            iters,
+            delay,
+            two_lines,
+            pad,
+            inner,
+            calls,
+        },
+    )
+}
+
+/// Assemble a [`LoopShape`] at `base` (labels are local to the program).
+fn counted_loop_program(base: u64, shape: LoopShape) -> Program {
+    let mut a = Assembler::new(base);
+    a.mov_imm(Reg::R10, LOG_BASE)
+        .mov_imm(Reg::R4, u64::from(shape.calls))
+        .label("drive")
+        .call("loop_n")
+        .add_imm(Reg::R4, -1)
+        .cmp_imm(Reg::R4, 0)
+        .jne("drive")
+        .halt();
+    a.org(base + 0x100)
+        .nops(usize::from(shape.pad))
+        .label("loop_n")
+        .store_imm(MemRef::base(Reg::R10), 0xa5)
+        .add_imm(Reg::R10, 1)
+        .mov_imm(Reg::R11, u64::from(shape.iters))
+        .label("body")
+        .delay(u32::from(shape.delay))
+        .nops(usize::from(shape.inner))
+        .add_imm(Reg::R11, -1)
+        .cmp_imm(Reg::R11, 0)
+        .je("done")
+        .jmp("tail");
+    if shape.two_lines {
+        a.align(64);
+    }
+    a.label("tail").jmp("body").label("done").ret();
+    a.assemble().expect("counted loop assembles")
+}
+
+/// Run `shape` on T0 (and `sib` on T1 beside it) under `cfg` with at most
+/// `budget` steps per `run_until_halt`. Returns T0's run result, the
+/// outcome, and the loop-path retirements (`SimLoopFused`, both threads).
+fn run_loops(
+    shape: LoopShape,
+    sib: Option<LoopShape>,
+    cfg: ExecConfig,
+    noise: Option<(NoiseConfig, u64)>,
+    budget: u64,
+) -> (Result<u64, StepError>, Outcome, u64) {
+    let profile = MicroArch::CascadeLake.profile();
+    let mut m = match noise {
+        Some((noise, seed)) => Machine::with_noise(profile, noise, seed),
+        None => Machine::new(profile),
+    };
+    m.set_exec(cfg);
+    let prog = counted_loop_program(LOOP_BASE[0], shape);
+    m.load_program(&prog);
+    m.start_program(T0, prog.entry(), &[]);
+    if let Some(sib) = sib {
+        let prog = counted_loop_program(LOOP_BASE[1], sib);
+        m.load_program(&prog);
+        m.start_program(T1, prog.entry(), &[]);
+    }
+    let res = m.run_until_halt(T0, budget);
+    if res.is_ok() && sib.is_some() {
+        m.run_until_halt(T1, budget).expect("sibling halts");
+    }
+    let fused = m.counters_total().read(PerfEvent::SimLoopFused);
+    (res, Outcome::of(&m), fused)
+}
+
+/// The noise axis of the loop proptests: none, realistic, or heavy (one
+/// eviction per 20 cycles, so crossings land inside loop spans).
+fn loop_noise(kind: u8, seed: u64) -> Option<(NoiseConfig, u64)> {
+    match kind % 3 {
+        0 => None,
+        1 => Some((NoiseConfig::realistic(), seed)),
+        _ => Some((NoiseConfig { timing_jitter: 12, evictions_per_kcycle: 50.0 }, seed)),
     }
 }
 
@@ -294,6 +429,59 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The counted-loop executor (per-slot path and closed-form
+    /// iterations) retires exactly what per-step execution retires, for
+    /// every loop layout, alone or beside a second counted loop on the
+    /// sibling thread (the causal slack then cuts spans short), with and
+    /// without heavy noise. Only `Tier::Fast` takes the loop path.
+    #[test]
+    fn prop_counted_loops_match_reference(
+        shape in loop_shape_strategy(),
+        sib in (any::<bool>(), loop_shape_strategy()),
+        noise_kind in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let sib = sib.0.then_some(sib.1);
+        let noise = loop_noise(noise_kind, seed);
+        let (res, reference, ref_fused) = run_loops(shape, sib, REFERENCE, noise, 1_000_000);
+        prop_assert!(res.is_ok(), "reference run failed: {:?}", res);
+        prop_assert_eq!(ref_fused, 0);
+        for cfg in CONFIGS {
+            let (got_res, got, fused) = run_loops(shape, sib, cfg, noise, 1_000_000);
+            prop_assert_eq!(&got_res, &res, "{:?} result", cfg);
+            prop_assert_eq!(&got, &reference, "{:?} diverged", cfg);
+            let fusable = shape.fusable() || sib.is_some_and(LoopShape::fusable);
+            if cfg.tier == Tier::Fast && fusable {
+                prop_assert!(fused > 0, "{:?} never took the loop path", cfg);
+            } else if cfg.tier != Tier::Fast {
+                prop_assert_eq!(fused, 0, "{:?} took the loop path", cfg);
+            }
+        }
+    }
+}
+
+/// A `run_until_halt` budget that runs out mid-loop fails with
+/// `StepLimit` at the same instruction in every tier: the loop executor
+/// honors the step budget slot by slot and in closed form.
+#[test]
+fn step_limit_mid_loop_matches_reference() {
+    let shape = LoopShape { iters: 40, delay: 64, two_lines: true, pad: 0, inner: 0, calls: 2 };
+    for budget in [3, 9, 17, 40, 101, 157, 263] {
+        for noise in [None, loop_noise(2, budget)] {
+            let (res, reference, _) = run_loops(shape, None, REFERENCE, noise, budget);
+            assert_eq!(res, Err(StepError::StepLimit), "budget {budget} ends mid-run");
+            for cfg in CONFIGS {
+                let (got_res, got, _) = run_loops(shape, None, cfg, noise, budget);
+                assert_eq!(got_res, res, "{cfg:?} budget {budget}");
+                assert_eq!(got, reference, "{cfg:?} budget {budget} diverged");
+            }
+        }
+    }
+}
+
 /// Fused probe execution is held to the same bar as the decoded and
 /// superblock tiers: running a probe template through [`Machine::run_probe`]
 /// with fusion enabled must be bit-identical — registers, both clocks,
@@ -304,7 +492,7 @@ proptest! {
 mod fused_probes {
     use super::*;
     use smack_uarch::isa::{Instr, MemRef, MemSize};
-    use smack_uarch::{Addr, CompiledProbe, PerfEvent, Placement, StepError};
+    use smack_uarch::{CompiledProbe, Placement};
 
     /// The probed line holds a real routine, so write-class probes hit a
     /// resident instruction line (the SMC machine-clear path) and
@@ -377,9 +565,28 @@ mod fused_probes {
         a.assemble().expect("sibling assembles")
     }
 
-    /// The sibling axis: `lines < 2` runs no sibling.
-    fn sibling_strategy() -> impl Strategy<Value = (u8, u16)> {
-        (0u8..10, 1u16..400)
+    /// The co-running sibling axis.
+    #[derive(Copy, Clone, Debug)]
+    enum Sibling {
+        /// No program on T1.
+        Idle,
+        /// [`sibling`]'s contending loop over `lines` code lines, `iters`
+        /// iterations.
+        Lines(u8, u16),
+        /// A counted-loop victim ([`counted_loop_program`]): its loop
+        /// path runs inside the fused ops' catch-ups.
+        Loop(LoopShape),
+    }
+
+    fn sibling_strategy() -> impl Strategy<Value = Sibling> {
+        prop_oneof![
+            (0u8..10, 1u16..400).prop_map(|(lines, iters)| if lines < 2 {
+                Sibling::Idle
+            } else {
+                Sibling::Lines(lines, iters)
+            }),
+            loop_shape_strategy().prop_map(Sibling::Loop),
+        ]
     }
 
     fn template(op: u8) -> [Instr; 5] {
@@ -445,12 +652,8 @@ mod fused_probes {
         timings: Vec<(u64, u64)>,
         mem: Vec<u8>,
         data: Vec<u8>,
-        hw_counters: Vec<(&'static str, u64)>,
+        hw_counters: Vec<(&'static str, u64, u64)>,
         err: Option<String>,
-    }
-
-    fn is_sim_probe_counter(e: PerfEvent) -> bool {
-        matches!(e, PerfEvent::SimProbeFastPath | PerfEvent::SimProbeFallback)
     }
 
     /// Run `actions` on a fresh machine and capture the observable state.
@@ -459,12 +662,12 @@ mod fused_probes {
     /// error. Returns the outcome, the `(fast_path, fallback)` counts, and
     /// the number of fuse-eligible attempts made (probes plus calls — each
     /// attempt bumps exactly one of the two counters, except a probe that
-    /// errors mid-body on the fused path, which bumps neither). With
-    /// `sib.0 >= 2`, the [`sibling`] program runs on T1 throughout.
+    /// errors mid-body on the fused path, which bumps neither). The `sib`
+    /// program, if any, runs on T1 throughout.
     fn run_actions(
         actions: &[Action],
         oracle_kind: u8,
-        sib: (u8, u16),
+        sib: Sibling,
         tier: Tier,
         noise: Option<(NoiseConfig, u64)>,
     ) -> (ProbeOutcome, u64, u64, u64) {
@@ -477,8 +680,12 @@ mod fused_probes {
         m.load_program(&oracle(oracle_kind));
         m.warm_tlb(T0, Addr(TARGET));
         m.set_reg(T0, Reg::R13, TARGET);
-        if sib.0 >= 2 {
-            let prog = sibling(sib.0, sib.1);
+        let sib = match sib {
+            Sibling::Idle => None,
+            Sibling::Lines(lines, iters) => Some(sibling(lines, iters)),
+            Sibling::Loop(shape) => Some(counted_loop_program(LOOP_BASE[1], shape)),
+        };
+        if let Some(prog) = sib {
             m.load_program(&prog);
             m.start_program(T1, prog.entry(), &[]);
         }
@@ -516,14 +723,7 @@ mod fused_probes {
                 break;
             }
         }
-        let mut hw_counters = Vec::new();
-        for tid in [T0, T1] {
-            for e in PerfEvent::ALL {
-                if !is_sim_probe_counter(e) {
-                    hw_counters.push((e.name(), m.counters(tid).read(e)));
-                }
-            }
-        }
+        let hw_counters = hw_counters(&m);
         let fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
         let fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
         let outcome = ProbeOutcome {
@@ -709,11 +909,7 @@ mod fused_probes {
                 out,
                 [m.reg(T0, Reg::R14), m.reg(T0, Reg::R15), m.reg(T1, Reg::R0)],
                 [m.clock(T0), m.clock(T1)],
-                PerfEvent::ALL
-                    .iter()
-                    .filter(|e| !is_sim_probe_counter(**e))
-                    .map(|e| (m.counters(T0).read(*e), m.counters(T1).read(*e)))
-                    .collect::<Vec<_>>(),
+                hw_counters(&m),
             );
             let fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
             let fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
